@@ -3,10 +3,17 @@
 // store). Multi-key operations (MGet/MPut) act atomically *within* one
 // store instance; the sharded router fans them out per shard, so across
 // shards they are not atomic.
+//
+// Storage layout: every entry is kept encoded exactly as snapshot() writes
+// it ([u32 key length][key][u32 value length][value]), in key order, in
+// contiguous pages of about kPageBytes. A checkpoint snapshot is then the
+// 12-byte header plus one sequential copy per page instead of a walk over
+// thousands of scattered tree nodes, and reads return views into a page.
 #pragma once
 
-#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/application.hpp"
@@ -72,7 +79,7 @@ class KvStore : public Application {
   Bytes extract_keys(const std::function<bool(std::string_view)>& moved) override;
   void absorb_keys(BytesView state) override;
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
+  [[nodiscard]] std::size_t size() const { return count_; }
   /// Shard sequence number: mutating ops applied so far. Identical across
   /// replicas of one shard (writes execute at every group), which is what
   /// lets clients check read-your-writes per shard.
@@ -80,8 +87,37 @@ class KvStore : public Application {
 
  private:
   enum class Mode { Mutate, OrderedRead, WeakRead };
+  /// Where a key's entry starts in pages_ (found), or where it would be
+  /// inserted (not found).
+  struct Slot {
+    std::size_t page = 0;
+    std::size_t off = 0;
+    bool found = false;
+  };
+
+  // A run of encoded entries in key order. `first` repeats the first
+  // entry's key, so the page search reads only this index, not the pages.
+  struct Page {
+    std::string first;
+    Bytes data;
+  };
+
+  /// Appends an encoded entry that sorts after every entry in `pages`.
+  static void append_sorted(std::vector<Page>& pages, std::string_view key, BytesView entry);
+
   Bytes apply(BytesView op, Mode mode);
-  std::map<std::string, Bytes> data_;
+  [[nodiscard]] Slot locate(std::string_view key) const;
+  /// View of the stored value, valid until the next mutation.
+  [[nodiscard]] std::optional<BytesView> find(std::string_view key) const;
+  void put(std::string_view key, BytesView value);
+  bool erase(std::string_view key);
+  void split(std::size_t page);
+
+  // Encoded entries in key order. No page is empty; a page exceeds
+  // kPageBytes only when it holds a single larger entry.
+  std::vector<Page> pages_;
+  std::size_t count_ = 0;  // entries across all pages
+  std::size_t bytes_ = 0;  // encoded size of all entries
   std::uint64_t version_ = 0;
 };
 

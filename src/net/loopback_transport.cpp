@@ -399,7 +399,9 @@ void LoopbackTransport::flush_outbound(const std::shared_ptr<OutboundConn>& conn
     conn->queued_bytes -= static_cast<std::size_t>(n);
     if (c.off >= total) conn->queue.pop_front();
   }
-  reactor_.modify(conn->fd, EPOLLIN | (conn->queue.empty() ? 0 : EPOLLOUT));
+  std::uint32_t events = EPOLLIN;
+  if (!conn->queue.empty()) events |= EPOLLOUT;
+  reactor_.modify(conn->fd, events);
 }
 
 void LoopbackTransport::fail_outbound(const std::shared_ptr<OutboundConn>& conn) {

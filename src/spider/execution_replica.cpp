@@ -17,6 +17,17 @@ Bytes tagged(std::uint32_t tag, BytesView inner) {
 
 // Modeled CPU cost of executing one application operation.
 constexpr Duration kExecCost = 8;
+
+// Cached for an ordered op the application rejects as malformed. Every
+// correct replica rejects it the same way, so this fixed reply (the
+// status-byte framing's "failed", like other replica-made replies) still
+// reaches a matching quorum.
+Bytes rejected_op_reply() {
+  Writer w;
+  w.u8(0);
+  w.bytes({});
+  return std::move(w).take();
+}
 }  // namespace
 
 ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
@@ -225,8 +236,14 @@ void ExecutionReplica::process_execute(const ExecuteMsg& x) {
       } else if (!owns_keys(x.op)) {
         result = make_wrong_shard_reply(*map_);
       } else {
-        result = x.op_kind == OpKind::StrongRead ? app_->execute_readonly(x.op)
-                                                 : app_->execute(x.op);
+        try {
+          result = x.op_kind == OpKind::StrongRead ? app_->execute_readonly(x.op)
+                                                   : app_->execute(x.op);
+        } catch (const SerdeError&) {
+          // Applications decode an op fully before mutating, so a rejected
+          // op left the state untouched; the rest of the batch still runs.
+          result = rejected_op_reply();
+        }
       }
       e.counter = x.counter;
       e.result = std::move(result);
@@ -383,6 +400,9 @@ Bytes ExecutionReplica::snapshot_state() const {
 }
 
 void ExecutionReplica::apply_state(SeqNr s, BytesView state) {
+  // Decode every section before applying any, so a malformed checkpoint
+  // leaves the replica as it was (restore() itself decodes before it
+  // replaces the application state).
   Reader r(state);
   std::uint32_t n = r.u32();
   std::map<NodeId, ReplyCacheEntry> replies;
@@ -394,13 +414,17 @@ void ExecutionReplica::apply_state(SeqNr s, BytesView state) {
     e.result = r.bytes();
     replies[client] = std::move(e);
   }
-  app_->restore(r.bytes_view());
+  BytesView app_state = r.bytes_view();
+  std::optional<ShardMap> map;
+  std::uint32_t shard_index = shard_index_;
   if (r.remaining() > 0) {
-    std::uint32_t shard_index = r.u32();
-    Bytes table = r.bytes();
-    Reader tr(table);
-    ShardMap map = ShardMap::decode(tr);
+    shard_index = r.u32();
+    Reader tr(r.bytes_view());
+    map = ShardMap::decode(tr);
     tr.expect_done();
+  }
+  app_->restore(app_state);
+  if (map) {
     shard_index_ = shard_index;
     map_ = std::move(map);
   }

@@ -243,6 +243,42 @@ TEST(Spider, LaggingExecutionReplicaCatchesUpViaCheckpoint) {
   EXPECT_TRUE(r.ok);
 }
 
+TEST(Spider, MalformedOpIsRejectedWithoutStallingExecution) {
+  // An op the application cannot decode (unknown KV opcode) is ordered like
+  // any other. Every execution replica must reject it the same way and keep
+  // executing, instead of skipping past the rest of its batch.
+  Fixture f;
+  auto bad = f.sys.make_client(Site{Region::Virginia, 0});
+  Bytes bad_result;
+  Duration bad_lat = -1;
+  bad->write(Bytes{0x07}, [&](Bytes result, Duration l) {
+    bad_result = std::move(result);
+    bad_lat = l;
+  });
+  Time deadline = f.world.now() + 10 * kSecond;
+  while (bad_lat < 0 && f.world.now() < deadline) f.world.queue().run_next();
+  ASSERT_GE(bad_lat, 0) << "malformed op got no reply quorum";
+  EXPECT_FALSE(kv_decode_reply(bad_result).ok);
+
+  auto good = f.sys.make_client(Site{Region::Oregon, 0});
+  for (int i = 0; i < 10; ++i) {
+    auto [reply, lat] = f.do_write(*good, "k" + std::to_string(i), "v" + std::to_string(i));
+    ASSERT_GE(lat, 0) << "write " << i << " never completed";
+    EXPECT_TRUE(reply.ok) << i;
+  }
+  f.world.run_for(2 * kSecond);
+
+  const ExecutionReplica& ref = f.sys.exec(f.sys.group_ids().front(), 0);
+  EXPECT_EQ(ref.executed_seq(), 11u);
+  for (GroupId g : f.sys.group_ids()) {
+    for (std::size_t i = 0; i < f.sys.group_size(g); ++i) {
+      const ExecutionReplica& x = f.sys.exec(g, i);
+      EXPECT_EQ(x.executed_seq(), ref.executed_seq()) << "group " << g << " replica " << i;
+      EXPECT_EQ(x.app().snapshot(), ref.app().snapshot()) << "group " << g << " replica " << i;
+    }
+  }
+}
+
 TEST(Spider, TrailingGroupSkippedWithZ) {
   SpiderTopology topo = test_topology();
   topo.z = 1;  // tolerate one trailing execution group
