@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "sim/world.hpp"
@@ -45,6 +46,39 @@ struct CkptFixture {
     return std::move(w).take();
   }
 };
+
+/// Wire bytes of a State message for checkpoint `s` carrying `st` and a
+/// proof of `entries` (signer, signature). `count` overrides the proof's
+/// entry count, e.g. to claim more entries than it holds.
+Bytes state_message(SeqNr s, const Bytes& st,
+                    const std::vector<std::pair<NodeId, Bytes>>& entries,
+                    std::optional<std::uint32_t> count = std::nullopt) {
+  Writer proof;
+  proof.u32(count.value_or(static_cast<std::uint32_t>(entries.size())));
+  for (const auto& [signer, sig] : entries) {
+    proof.u32(signer);
+    proof.bytes(sig);
+  }
+  Writer wire;
+  wire.u32(tags::kCheckpoint);
+  wire.u8(3);  // State type
+  wire.u64(s);
+  wire.bytes(st);
+  wire.bytes(proof.data());
+  return std::move(wire).take();
+}
+
+/// The domain-separated bytes a group member signs to vouch for
+/// checkpoint `s` with state `st`.
+Bytes checkpoint_auth(SeqNr s, const Bytes& st) {
+  Sha256Digest h = Sha256::hash(st);
+  Writer dom;
+  dom.u32(tags::kCheckpoint);
+  dom.u8(1);  // Checkpoint type
+  dom.u64(s);
+  dom.raw(BytesView(h.data(), h.size()));
+  return std::move(dom).take();
+}
 
 TEST(Checkpointer, StableAfterFPlusOneMatching) {
   CkptFixture f;
@@ -174,36 +208,58 @@ TEST(Checkpointer, ForgedStateRejected) {
   ComponentHost evil(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
 
   Bytes fake_state = CkptFixture::state(666);
-  Sha256Digest h = Sha256::hash(fake_state);
-  Writer body;
-  body.u8(1);  // Checkpoint type
-  body.u64(50);
-  body.raw(BytesView(h.data(), h.size()));
-  Writer dom;
-  dom.u32(tags::kCheckpoint);
-  dom.raw(body.data());
   // Signed by the attacker (twice) — not by group members.
-  Bytes sig = f.world.crypto().sign(evil.id(), dom.data());
-
-  Writer proof;
-  proof.u32(2);
-  proof.u32(evil.id());
-  proof.bytes(sig);
-  proof.u32(evil.id() + 1000);
-  proof.bytes(sig);
-
-  Writer msg;
-  msg.u8(3);  // State type
-  msg.u64(50);
-  msg.bytes(fake_state);
-  msg.bytes(proof.data());
-  Writer wire;
-  wire.u32(tags::kCheckpoint);
-  wire.raw(msg.data());
-  for (auto& hpt : f.hosts) evil.send_to(hpt->id(), wire.data());
+  Bytes sig = f.world.crypto().sign(evil.id(), checkpoint_auth(50, fake_state));
+  Bytes wire = state_message(50, fake_state, {{evil.id(), sig}, {evil.id() + 1000, sig}});
+  for (auto& hpt : f.hosts) evil.send_to(hpt->id(), wire);
 
   f.world.run_for(kSecond);
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());
+}
+
+TEST(Checkpointer, HostileProofCountIsDropped) {
+  // Any node may send a State message. A proof claiming 2^32-1 entries but
+  // holding two valid ones must be dropped as malformed, not crash the
+  // receiver or size anything by the claimed count.
+  CkptFixture f;
+  ComponentHost evil(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
+  Bytes st = CkptFixture::state(77);
+  Bytes auth = checkpoint_auth(50, st);
+  NodeId a = f.hosts[0]->id();
+  NodeId b = f.hosts[1]->id();
+  Bytes wire = state_message(
+      50, st, {{a, f.world.crypto().sign(a, auth)}, {b, f.world.crypto().sign(b, auth)}},
+      0xFFFFFFFFu);
+  for (auto& hpt : f.hosts) evil.send_to(hpt->id(), wire);
+
+  EXPECT_NO_THROW(f.world.run_for(kSecond));
+  for (auto& s : f.stable) EXPECT_TRUE(s.empty());
+  for (auto& cp : f.cps) EXPECT_EQ(cp->last_stable(), 0u);
+}
+
+TEST(Checkpointer, RepeatedSignerProofRejected) {
+  // One trusted member's valid signature repeated f+1 times counts once, so
+  // the proof falls short of f+1 distinct signers.
+  CkptFixture f;
+  ComponentHost evil(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
+  Bytes st = CkptFixture::state(78);
+  Bytes auth = checkpoint_auth(50, st);
+  NodeId member = f.hosts[0]->id();
+  Bytes sig = f.world.crypto().sign(member, auth);
+  Bytes repeated = state_message(50, st, {{member, sig}, {member, sig}});
+  for (auto& hpt : f.hosts) evil.send_to(hpt->id(), repeated);
+  f.world.run_for(kSecond);
+  for (auto& s : f.stable) EXPECT_TRUE(s.empty());
+
+  // Control: the same proof with a second distinct member is adopted.
+  NodeId other = f.hosts[1]->id();
+  Bytes distinct =
+      state_message(50, st, {{member, sig}, {other, f.world.crypto().sign(other, auth)}});
+  evil.send_to(f.hosts[2]->id(), distinct);
+  f.world.run_for(kSecond);
+  ASSERT_EQ(f.stable[2].size(), 1u);
+  EXPECT_EQ(f.stable[2][0].first, 50u);
+  EXPECT_EQ(f.stable[2][0].second, st);
 }
 
 TEST(Checkpointer, ForgedCheckpointMessageRejected) {

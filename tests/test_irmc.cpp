@@ -394,5 +394,44 @@ TEST(IrmcSc, ForgedCertificateRejected) {
   EXPECT_FALSE(delivered);  // share for index 1 does not verify
 }
 
+TEST(IrmcSc, DuplicateShareIndexRejected) {
+  // fs+1 shares that all carry one sender's valid signature under the same
+  // index vouch for the content only once: the certificate is rejected.
+  ChannelFixture f(IrmcKind::SenderCollect);
+  ComponentHost& evil = *f.sender_hosts[0];
+  Bytes payload = f.msg(667);
+  irmc::SigShareMsg share{1, 1, Sha256::hash(payload)};
+  Writer sw;
+  sw.u32(f.cfg.channel_tag);
+  sw.raw(share.encode());
+  Bytes share_auth = std::move(sw).take();
+  auto send_cert = [&](std::vector<std::pair<std::uint32_t, Bytes>> shares) {
+    irmc::CertificateMsg cert{1, 1, payload, std::move(shares)};
+    Bytes body = cert.encode();
+    Writer aw;
+    aw.u32(f.cfg.channel_tag);
+    aw.raw(body);
+    Bytes cert_sig = f.world.crypto().sign(evil.id(), aw.data());
+    Writer fw;
+    fw.u32(f.cfg.channel_tag);
+    fw.raw(body);
+    fw.raw(cert_sig);
+    for (NodeId r : f.cfg.receivers) evil.send_to(r, fw.data());
+  };
+
+  bool delivered = false;
+  f.receivers[0]->receive(1, 1, [&](RecvResult) { delivered = true; });
+  Bytes own_sig = f.world.crypto().sign(evil.id(), share_auth);
+  send_cert({{0, own_sig}, {0, own_sig}});
+  f.world.run_for(kSecond);
+  EXPECT_FALSE(delivered);
+
+  // Control: a second sender's genuine share completes the certificate.
+  Bytes other_sig = f.world.crypto().sign(f.cfg.senders[1], share_auth);
+  send_cert({{0, own_sig}, {1, other_sig}});
+  f.world.run_for(kSecond);
+  EXPECT_TRUE(delivered);
+}
+
 }  // namespace
 }  // namespace spider

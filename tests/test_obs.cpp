@@ -25,6 +25,9 @@ namespace {
 std::uint64_t g_allocs = 0;
 }
 
+// Inlined, GCC misreads these matched malloc/free replacements as mismatched.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t n) {
   ++g_allocs;
   if (void* p = std::malloc(n)) return p;
@@ -39,6 +42,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace spider {
 namespace {

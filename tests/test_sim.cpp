@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serde.hpp"
+#include "sim/component.hpp"
 #include "sim/node.hpp"
 #include "sim/world.hpp"
 
@@ -356,6 +357,93 @@ TEST(SimNode, DeterministicAcrossRuns) {
     return times;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// Splits each inbound frame [u32 tag][body][auth] and verifies the trailer
+/// twice through check_auth_frame: once over slices of the inbound buffer
+/// (the zero-copy frame-prefix path) and once over detached copies (the
+/// rebuild path).
+class AuthProbeNode : public SimNode {
+ public:
+  using SimNode::SimNode;
+
+  void on_message(NodeId from, BytesView data) override {
+    const std::size_t auth_len = is_sig ? crypto().signature_size() : crypto().mac_size();
+    ASSERT_GT(data.size(), 4 + auth_len);
+    Reader r(data);
+    const std::uint32_t tag_word = r.u32();
+    BytesView body = data.subspan(4, data.size() - 4 - auth_len);
+    BytesView auth = data.subspan(data.size() - auth_len);
+    ASSERT_NE(current_message(), nullptr);
+    ASSERT_EQ(body.data(), current_message()->data() + 4);
+    in_place.push_back(check_auth_frame(from, tag_word, body, auth, is_sig));
+    const Bytes body_copy = to_bytes(body);
+    const Bytes auth_copy = to_bytes(auth);
+    detached.push_back(check_auth_frame(from, tag_word, body_copy, auth_copy, is_sig));
+  }
+
+  bool is_sig = false;
+  std::vector<bool> in_place;
+  std::vector<bool> detached;
+};
+
+/// Sends one authenticated frame to a probe node and returns its
+/// (in-place, detached) verdicts. `flip` corrupts one trailer byte: 1 the
+/// first, -1 the last, 0 none.
+std::pair<std::vector<bool>, std::vector<bool>> auth_frame_verdicts(
+    std::unique_ptr<CryptoProvider> crypto, bool is_sig, int flip) {
+  World world(5, std::move(crypto));
+  EchoNode sender(world, world.allocate_id(), Site{Region::Virginia, 0});
+  AuthProbeNode probe(world, world.allocate_id(), Site{Region::Virginia, 1});
+  probe.is_sig = is_sig;
+
+  Writer prefix;
+  prefix.u32(tags::kIrmc | 5u);
+  prefix.raw(to_bytes(std::string("authenticated body")));
+  Bytes auth = is_sig ? world.crypto().sign(sender.id(), prefix.data())
+                      : world.crypto().mac(sender.id(), probe.id(), prefix.data());
+  if (flip > 0) auth.front() ^= 0x01;
+  if (flip < 0) auth.back() ^= 0x01;
+  Writer frame;
+  frame.raw(prefix.data());
+  frame.raw(auth);
+  sender.send_to(probe.id(), std::move(frame).take());
+  world.run_for(10 * kMillisecond);
+  return {probe.in_place, probe.detached};
+}
+
+std::unique_ptr<CryptoProvider> make_provider(bool real) {
+  if (real) return std::make_unique<RealCrypto>(5);
+  return std::make_unique<FastCrypto>(5);
+}
+
+TEST(SimNode, CheckAuthFrameZeroCopyMatchesDetached) {
+  for (bool real : {false, true}) {
+    for (bool is_sig : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "real=" << real << " is_sig=" << is_sig);
+      auto [in_place, detached] = auth_frame_verdicts(make_provider(real), is_sig, 0);
+      ASSERT_EQ(in_place.size(), 1u);
+      ASSERT_EQ(detached.size(), 1u);
+      EXPECT_TRUE(in_place[0]);
+      EXPECT_TRUE(detached[0]);
+    }
+  }
+}
+
+TEST(SimNode, CheckAuthFrameRejectsFlippedTrailerByte) {
+  for (bool real : {false, true}) {
+    for (bool is_sig : {false, true}) {
+      for (int flip : {1, -1}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "real=" << real << " is_sig=" << is_sig << " flip=" << flip);
+        auto [in_place, detached] = auth_frame_verdicts(make_provider(real), is_sig, flip);
+        ASSERT_EQ(in_place.size(), 1u);
+        ASSERT_EQ(detached.size(), 1u);
+        EXPECT_FALSE(in_place[0]);
+        EXPECT_FALSE(detached[0]);
+      }
+    }
+  }
 }
 
 TEST(World, AllocatesDistinctIds) {
