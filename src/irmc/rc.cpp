@@ -1,6 +1,9 @@
 #include "irmc/rc.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
@@ -10,11 +13,55 @@ namespace spider {
 using irmc::MsgType;
 
 namespace {
-/// k+1-highest value of `vals` padded with `def` to `total` entries.
-Position kth_highest(std::vector<Position> vals, std::size_t total, std::size_t k, Position def) {
-  while (vals.size() < total) vals.push_back(def);
-  std::sort(vals.rbegin(), vals.rend());
-  return vals[std::min(k, vals.size() - 1)];
+/// The entry std::map::operator[] would hand out: created at 0.
+Position& touch(std::optional<Position>& v) {
+  if (!v) v = 0;
+  return *v;
+}
+
+/// k+1-highest of the per-peer window requests, absent ones reading 1.
+/// `buf` is reused across calls.
+Position kth_highest(const std::vector<std::optional<Position>>& req, std::size_t k,
+                     std::vector<Position>& buf) {
+  buf.clear();
+  for (const auto& r : req) buf.push_back(r.value_or(1));
+  auto nth = buf.begin() + static_cast<std::ptrdiff_t>(std::min(k, buf.size() - 1));
+  std::nth_element(buf.begin(), nth, buf.end(), std::greater<>());
+  return *nth;
+}
+
+/// The record for `sc`, created on first use; `order` keeps every record
+/// by ascending subchannel for the timer loops.
+template <typename Sub>
+Sub& add_sub(std::unordered_map<Subchannel, Sub>& subs,
+             std::vector<std::pair<Subchannel, Sub*>>& order, Subchannel sc) {
+  auto [it, added] = subs.try_emplace(sc);
+  if (added) {
+    auto at = std::upper_bound(order.begin(), order.end(), sc,
+                               [](Subchannel k, const auto& e) { return k < e.first; });
+    order.insert(at, {sc, &it->second});
+  }
+  return it->second;
+}
+
+/// First pending entry at or above position `p`.
+template <typename Waiters>
+auto waiters_at(std::vector<Waiters>& pending, Position p) {
+  return std::lower_bound(pending.begin(), pending.end(), p,
+                          [](const Waiters& w, Position k) { return w.p < k; });
+}
+
+template <typename Sub>
+const Sub* find_sub(const std::unordered_map<Subchannel, Sub>& subs, Subchannel sc) {
+  auto it = subs.find(sc);
+  return it == subs.end() ? nullptr : &it->second;
+}
+
+/// Window start of `sc`; one nobody set reads 1.
+template <typename Sub>
+Position window_of(const std::unordered_map<Subchannel, Sub>& subs, Subchannel sc) {
+  const Sub* s = find_sub(subs, sc);
+  return s ? s->win.value_or(1) : 1;
 }
 }  // namespace
 
@@ -43,15 +90,14 @@ void RcSender::send_move(Subchannel sc, Position p) {
 
 void RcSender::on_announce_timer() {
   announce_timer_ = set_timer(cfg_.window_announce_interval, [this] { on_announce_timer(); });
-  for (const auto& [sc, p] : own_move_) send_move(sc, p);
+  for (const auto& [sc, s] : order_) {
+    if (s->own_move) send_move(sc, *s->own_move);
+  }
 }
 
-Position RcSender::win_lo(Subchannel sc) const {
-  auto it = awin_.find(sc);
-  return it == awin_.end() ? 1 : it->second;
-}
+RcSender::Sub& RcSender::sub(Subchannel sc) { return add_sub(subs_, order_, sc); }
 
-Position RcSender::window_start(Subchannel sc) const { return win_lo(sc); }
+Position RcSender::window_start(Subchannel sc) const { return window_of(subs_, sc); }
 
 std::optional<std::uint32_t> RcSender::receiver_index(NodeId node) const {
   for (std::uint32_t i = 0; i < cfg_.nr(); ++i) {
@@ -60,7 +106,7 @@ std::optional<std::uint32_t> RcSender::receiver_index(NodeId node) const {
   return std::nullopt;
 }
 
-void RcSender::transmit(Subchannel sc, Position p, const Bytes& m) {
+void RcSender::transmit(Subchannel sc, Sub& s, Position p, const Bytes& m) {
   if (auto* t = host().tracer()) {
     t->instant(host().now(), host().id(), "irmc", "rc-send", "sc", sc, "pos", p);
   }
@@ -74,68 +120,73 @@ void RcSender::transmit(Subchannel sc, Position p, const Bytes& m) {
   // and future replay shares this one buffer.
   Payload wire = wire_frame(body, sig);
   for (NodeId r : cfg_.receivers) send_wire(r, wire);
-  sent_[sc][p] = std::move(wire);
+  // Every transmitted position lies in [lo, lo + capacity - 1], so the
+  // ring slot is either free or holds this same position.
+  if (s.sent.empty()) s.sent.resize(cfg_.capacity);
+  Retained& slot = s.sent[p % s.sent.size()];
+  slot.p = p;
+  slot.wire = std::move(wire);
 }
 
 void RcSender::send(Subchannel sc, Position p, Bytes m, SendCallback done) {
-  Position lo = win_lo(sc);
+  Sub& s = sub(sc);
+  Position lo = s.win.value_or(1);
   if (p < lo) {
     if (done) done(/*too_old=*/true, lo);
     return;
   }
   if (p <= lo + cfg_.capacity - 1) {
-    transmit(sc, p, m);
+    transmit(sc, s, p, m);
     if (done) done(false, lo);
     return;
   }
-  queued_[sc].emplace(p, Queued{std::move(m), std::move(done)});
+  // Position-ordered; equal positions stay in arrival order.
+  auto at = std::upper_bound(s.queued.begin(), s.queued.end(), p,
+                             [](Position k, const Queued& q) { return k < q.p; });
+  s.queued.insert(at, Queued{p, std::move(m), std::move(done)});
 }
 
 void RcSender::move_window(Subchannel sc, Position p) {
-  Position& cur = own_move_[sc];
+  Position& cur = touch(sub(sc).own_move);
   if (p <= cur) return;
   cur = p;
   send_move(sc, p);
 }
 
-void RcSender::recompute_window(Subchannel sc) {
-  std::vector<Position> vals;
-  for (std::uint32_t i = 0; i < cfg_.nr(); ++i) {
-    auto it = rwin_.find({i, sc});
-    vals.push_back(it == rwin_.end() ? 1 : it->second);
-  }
+void RcSender::recompute_window(Subchannel sc, Sub& s) {
   // fr+1 highest requested start: at least one correct receiver allowed it.
-  Position lo = kth_highest(std::move(vals), cfg_.nr(), cfg_.fr, 1);
-  Position& cur = awin_[sc];
-  if (lo > cur) {
-    cur = lo;
-    auto sit = sent_.find(sc);
-    if (sit != sent_.end()) {
-      sit->second.erase(sit->second.begin(), sit->second.lower_bound(lo));
-    }
-    flush_queue(sc);
+  Position lo = kth_highest(s.rwin, cfg_.fr, kth_buf_);
+  const Position old = s.win.value_or(1);
+  Position& cur = touch(s.win);
+  if (lo <= cur) return;
+  cur = lo;
+  // Retained wires all lie in [old, old + capacity - 1]; drop those below lo.
+  for (Position q = old; q < lo && q - old < s.sent.size(); ++q) {
+    Retained& r = s.sent[q % s.sent.size()];
+    if (r.p == q) r.wire = {};
   }
+  flush_queue(sc, s);
 }
 
-void RcSender::flush_queue(Subchannel sc) {
-  auto qit = queued_.find(sc);
-  if (qit == queued_.end()) return;
-  Position lo = win_lo(sc);
+void RcSender::flush_queue(Subchannel sc, Sub& s) {
+  if (s.queued.empty()) return;
+  Position lo = s.win.value_or(1);
   Position hi = lo + cfg_.capacity - 1;
-  auto& q = qit->second;
-  for (auto it = q.begin(); it != q.end();) {
-    if (it->first < lo) {
-      if (it->second.cb) it->second.cb(true, lo);
-      it = q.erase(it);
-    } else if (it->first <= hi) {
-      transmit(sc, it->first, it->second.m);
-      if (it->second.cb) it->second.cb(false, lo);
-      it = q.erase(it);
+  // Take the due prefix out first: callbacks may queue further sends
+  // (always above hi, since the window does not move meanwhile).
+  auto end = std::find_if(s.queued.begin(), s.queued.end(),
+                          [hi](const Queued& q) { return q.p > hi; });
+  std::vector<Queued> due(std::make_move_iterator(s.queued.begin()),
+                          std::make_move_iterator(end));
+  s.queued.erase(s.queued.begin(), end);
+  for (Queued& q : due) {
+    if (q.p < lo) {
+      if (q.cb) q.cb(true, lo);
     } else {
-      break;  // multimap is position-ordered
+      transmit(sc, s, q.p, q.m);
+      if (q.cb) q.cb(false, lo);
     }
   }
-  if (q.empty()) queued_.erase(qit);
 }
 
 void RcSender::on_message(NodeId from, Reader& r) {
@@ -173,27 +224,34 @@ void RcSender::on_message(NodeId from, Reader& r) {
     // an f+1-signed checkpoint is adopted, so a Byzantine sender cannot
     // use this to skip live content. FIFO links deliver the Move before
     // the replayed Sends.
-    Position floor = win_lo(mv.sc);
-    auto own = own_move_.find(mv.sc);
-    if (own != own_move_.end()) floor = std::max(floor, own->second);
+    const Sub* s = find_sub(subs_, mv.sc);
+    const Position lo = window_of(subs_, mv.sc);
+    Position floor = lo;
+    if (s && s->own_move) floor = std::max(floor, *s->own_move);
     irmc::MoveMsg remv{mv.sc, floor};
     Bytes rbody = remv.encode();
     host().charge_mac();
     send_framed(from, rbody, crypto().mac(self(), from, auth_bytes(rbody)));
 
-    auto sit = sent_.find(mv.sc);
-    if (sit == sent_.end()) return;
+    if (!s) return;
+    // Retained wires lie in [lo, lo + capacity - 1]: replay them in
+    // ascending order from the requested position on.
     int budget = 64;  // bounded replay per NACK; the receiver re-nacks if needed
-    for (auto it = sit->second.lower_bound(mv.p); it != sit->second.end() && budget > 0;
-         ++it, --budget) {
-      send_wire(from, it->second);
+    const std::size_t n = s->sent.size();
+    for (Position q = std::max(mv.p, lo); q - lo < n && budget > 0; ++q) {
+      const Retained& r = s->sent[q % n];
+      if (r.p != q || r.wire.empty()) continue;
+      send_wire(from, r.wire);
+      --budget;
     }
     return;
   }
-  Position& cur = rwin_[{*idx, mv.sc}];
+  Sub& s = sub(mv.sc);
+  if (s.rwin.empty()) s.rwin.resize(cfg_.nr());
+  Position& cur = touch(s.rwin[*idx]);
   if (mv.p <= cur) return;  // only accept forward moves
   cur = mv.p;
-  recompute_window(mv.sc);
+  recompute_window(mv.sc, s);
 }
 
 // ---------------------------------------------------------------- receiver
@@ -214,17 +272,17 @@ void RcReceiver::arm_nack_timer() {
 void RcReceiver::on_nack_timer() {
   nack_timer_ = EventQueue::kInvalidEvent;
   bool still_pending = false;
-  std::map<Subchannel, Position> stalled_now;
-  for (const auto& [sc, by_pos] : pending_) {
-    if (by_pos.empty()) continue;
-    Position want = by_pos.begin()->first;
-    if (want < win_lo(sc)) continue;  // TooOld will fire instead
+  for (const auto& [sc, s] : order_) {
+    // Stall detection: the position pending at the previous timer tick.
+    std::optional<Position> prev = std::exchange(s->last_stalled, std::nullopt);
+    if (s->pending.empty()) continue;
+    Position want = s->pending.front().p;
+    if (want < s->win.value_or(1)) continue;  // TooOld will fire instead
     still_pending = true;
-    stalled_now[sc] = want;
+    s->last_stalled = want;
     // Only nack when the subchannel made NO progress during a full timer
     // period: steady-state traffic must not trigger retransmissions.
-    auto prev = last_stalled_.find(sc);
-    if (prev == last_stalled_.end() || prev->second != want) continue;
+    if (prev != want) continue;
     irmc::MoveMsg nack{sc, want};
     Writer w(1 + 8 + 8);
     w.u8(static_cast<std::uint8_t>(MsgType::Nack));
@@ -232,21 +290,17 @@ void RcReceiver::on_nack_timer() {
     w.u64(nack.p);
     Bytes body = std::move(w).take();
     Bytes auth = auth_bytes(body);
-    for (NodeId s : cfg_.senders) {
+    for (NodeId dst : cfg_.senders) {
       host().charge_mac();
-      send_framed(s, body, crypto().mac(self(), s, auth));
+      send_framed(dst, body, crypto().mac(self(), dst, auth));
     }
   }
-  last_stalled_ = std::move(stalled_now);
   if (still_pending) arm_nack_timer();
 }
 
-Position RcReceiver::win_lo(Subchannel sc) const {
-  auto it = awin_.find(sc);
-  return it == awin_.end() ? 1 : it->second;
-}
+Position RcReceiver::window_start(Subchannel sc) const { return window_of(subs_, sc); }
 
-Position RcReceiver::window_start(Subchannel sc) const { return win_lo(sc); }
+RcReceiver::Sub& RcReceiver::sub(Subchannel sc) { return add_sub(subs_, order_, sc); }
 
 std::optional<std::uint32_t> RcReceiver::sender_index(NodeId node) const {
   for (std::uint32_t i = 0; i < cfg_.ns(); ++i) {
@@ -256,49 +310,54 @@ std::optional<std::uint32_t> RcReceiver::sender_index(NodeId node) const {
 }
 
 void RcReceiver::receive(Subchannel sc, Position p, ReceiveCallback cb) {
-  Position lo = win_lo(sc);
+  Sub& s = sub(sc);
+  Position lo = s.win.value_or(1);
   if (p < lo) {
     cb(RecvResult{true, lo, {}});
     return;
   }
-  auto rit = ready_.find(sc);
-  if (rit != ready_.end()) {
-    auto mit = rit->second.find(p);
-    if (mit != rit->second.end()) {
-      cb(RecvResult{false, 0, mit->second});
+  if (!s.ring.empty()) {
+    const Slot& slot = s.ring[p % s.ring.size()];
+    if (slot.ready && slot.p == p) {
+      cb(RecvResult{false, 0, slot.delivered});
       return;
     }
   }
-  pending_[sc][p].push_back(std::move(cb));
+  auto it = waiters_at(s.pending, p);
+  if (it == s.pending.end() || it->p != p) it = s.pending.insert(it, Waiters{p, {}});
+  it->cbs.push_back(std::move(cb));
   arm_nack_timer();
 }
 
 void RcReceiver::move_window(Subchannel sc, Position p) {
-  internal_move(sc, p);
+  internal_move(sc, sub(sc), p);
 }
 
-void RcReceiver::internal_move(Subchannel sc, Position p) {
-  Position& cur = awin_[sc];
+void RcReceiver::internal_move(Subchannel sc, Sub& s, Position p) {
+  const Position old = s.win.value_or(1);
+  Position& cur = touch(s.win);
   if (p <= cur) return;
   cur = p;
 
-  // Garbage-collect stored state below the window.
-  auto sit = slots_.find(sc);
-  if (sit != slots_.end()) {
-    sit->second.erase(sit->second.begin(), sit->second.lower_bound(p));
-  }
-  auto rit = ready_.find(sc);
-  if (rit != ready_.end()) {
-    rit->second.erase(rit->second.begin(), rit->second.lower_bound(p));
+  // Garbage-collect stored state below the window. Stored positions all
+  // lie in [old, old + 2 * capacity - 1].
+  for (Position q = old; q < p && q - old < s.ring.size(); ++q) {
+    Slot& slot = s.ring[q % s.ring.size()];
+    if (slot.p != q) continue;
+    slot.candidates.clear();
+    slot.ready = false;
+    slot.delivered = {};
   }
 
-  // Abort superseded receive() calls with TooOld (paper Fig. 14).
-  auto pit = pending_.find(sc);
-  if (pit != pending_.end()) {
-    auto& by_pos = pit->second;
-    for (auto it = by_pos.begin(); it != by_pos.end() && it->first < p;) {
-      for (ReceiveCallback& cb : it->second) cb(RecvResult{true, p, {}});
-      it = by_pos.erase(it);
+  // Abort superseded receive() calls with TooOld (paper Fig. 14). Take
+  // them out first: a callback may issue a new receive().
+  auto end = waiters_at(s.pending, p);
+  if (end != s.pending.begin()) {
+    std::vector<Waiters> aborted(std::make_move_iterator(s.pending.begin()),
+                                 std::make_move_iterator(end));
+    s.pending.erase(s.pending.begin(), end);
+    for (Waiters& w : aborted) {
+      for (ReceiveCallback& cb : w.cbs) cb(RecvResult{true, p, {}});
     }
   }
 
@@ -306,36 +365,31 @@ void RcReceiver::internal_move(Subchannel sc, Position p) {
   irmc::MoveMsg mv{sc, p};
   Bytes body = mv.encode();
   Bytes auth = auth_bytes(body);
-  for (NodeId s : cfg_.senders) {
+  for (NodeId dst : cfg_.senders) {
     host().charge_mac();
-    send_framed(s, body, crypto().mac(self(), s, auth));
+    send_framed(dst, body, crypto().mac(self(), dst, auth));
   }
 }
 
-void RcReceiver::try_deliver(Subchannel sc, Position p) {
-  auto sit = slots_.find(sc);
-  if (sit == slots_.end()) return;
-  auto slot_it = sit->second.find(p);
-  if (slot_it == sit->second.end()) return;
-
-  for (auto& [digest, cand] : slot_it->second.candidates) {
-    if (cand.second.size() >= cfg_.fs + 1) {
-      ready_[sc][p] = cand.first;
-      if (auto* t = host().tracer()) {
-        t->instant(host().now(), host().id(), "irmc", "rc-deliver", "sc", sc,
-                   "pos", p);
-      }
-      auto pit = pending_.find(sc);
-      if (pit != pending_.end()) {
-        auto cb_it = pit->second.find(p);
-        if (cb_it != pit->second.end()) {
-          std::vector<ReceiveCallback> cbs = std::move(cb_it->second);
-          pit->second.erase(cb_it);
-          for (ReceiveCallback& cb : cbs) cb(RecvResult{false, 0, ready_[sc][p]});
-        }
-      }
-      return;
+void RcReceiver::try_deliver(Subchannel sc, Sub& s, Slot& slot) {
+  for (const Candidate& cand : slot.candidates) {
+    if (cand.voters.size() < cfg_.fs + 1) continue;
+    // By value: a callback below may move the window past p, which frees
+    // this slot while later waiters still need the message.
+    const Payload msg = cand.payload;
+    const Position p = slot.p;
+    slot.ready = true;
+    slot.delivered = msg;
+    if (auto* t = host().tracer()) {
+      t->instant(host().now(), host().id(), "irmc", "rc-deliver", "sc", sc, "pos", p);
     }
+    auto it = waiters_at(s.pending, p);
+    if (it != s.pending.end() && it->p == p) {
+      std::vector<ReceiveCallback> cbs = std::move(it->cbs);
+      s.pending.erase(it);
+      for (ReceiveCallback& cb : cbs) cb(RecvResult{false, 0, msg});
+    }
+    return;
   }
 }
 
@@ -358,17 +412,32 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
     br.u8();
     irmc::SendMsgView msg = irmc::SendMsgView::decode(br);
     note_subchannel(msg.sc);
-    Position lo = win_lo(msg.sc);
+    Sub& s = sub(msg.sc);
+    Position lo = s.win.value_or(1);
     // Store only within a bounded horizon (window + one extra window of
     // slack for senders running ahead of this receiver).
     if (msg.p < lo || msg.p > lo + 2 * cfg_.capacity - 1) return;
 
     host().charge_hash(msg.payload.size());
     std::uint64_t key = digest_prefix(host().hash_cached(msg.payload));
-    auto& cand = slots_[msg.sc][msg.p].candidates[key];
-    if (cand.second.empty()) cand.first = host().capture(msg.payload);
-    cand.second.insert(*idx);
-    try_deliver(msg.sc, msg.p);
+    if (s.ring.empty()) s.ring.resize(2 * cfg_.capacity);
+    Slot& slot = s.ring[msg.p % s.ring.size()];
+    if (slot.p != msg.p) {
+      // Free (garbage-collected below the window): reuse it.
+      slot.p = msg.p;
+      slot.candidates.clear();
+      slot.ready = false;
+      slot.delivered = {};
+    }
+    auto cand = std::lower_bound(slot.candidates.begin(), slot.candidates.end(), key,
+                                 [](const Candidate& c, std::uint64_t k) { return c.digest < k; });
+    if (cand == slot.candidates.end() || cand->digest != key) {
+      cand = slot.candidates.insert(cand, Candidate{key, host().capture(msg.payload), {}});
+    }
+    if (std::find(cand->voters.begin(), cand->voters.end(), *idx) == cand->voters.end()) {
+      cand->voters.push_back(*idx);
+    }
+    try_deliver(msg.sc, s, slot);
   } else if (type == MsgType::Move) {
     std::size_t mac_len = crypto().mac_size();
     if (all.size() <= mac_len) return;
@@ -381,31 +450,27 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
     br.u8();
     irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
     note_subchannel(mv.sc);
+    Sub& s = sub(mv.sc);
 
-    if (win_lo(mv.sc) > mv.p) {
+    if (s.win.value_or(1) > mv.p) {
       // The sender requested a window we already moved past — it is behind
       // on window state (e.g. a crash-recovered sender endpoint that lost
       // its view of the channel). Grant it our current window start so it
       // can flush sends queued behind the stale window.
-      irmc::MoveMsg grant{mv.sc, win_lo(mv.sc)};
+      irmc::MoveMsg grant{mv.sc, s.win.value_or(1)};
       Bytes gbody = grant.encode();
       host().charge_mac();
       send_framed(from, gbody, crypto().mac(self(), from, auth_bytes(gbody)));
     }
 
-    Position& cur = smoves_[{*idx, mv.sc}];
+    if (s.smoves.empty()) s.smoves.resize(cfg_.ns());
+    Position& cur = touch(s.smoves[*idx]);
     if (mv.p <= cur) return;
     cur = mv.p;
 
     // fs+1-highest sender request forces our window forward (A.19).
-    std::vector<Position> vals;
-    for (std::uint32_t i = 0; i < cfg_.ns(); ++i) {
-      auto it = smoves_.find({i, mv.sc});
-      vals.push_back(it == smoves_.end() ? 1 : it->second);
-    }
-    std::sort(vals.rbegin(), vals.rend());
-    Position nw = vals[std::min<std::size_t>(cfg_.fs, vals.size() - 1)];
-    if (win_lo(mv.sc) < nw) internal_move(mv.sc, nw);
+    Position nw = kth_highest(s.smoves, cfg_.fs, kth_buf_);
+    if (s.win.value_or(1) < nw) internal_move(mv.sc, s, nw);
   }
 }
 

@@ -375,7 +375,9 @@ void ScReceiver::deliver_ready(Subchannel sc, Position p) {
   }
   std::vector<ReceiveCallback> cbs = std::move(cb_it->second);
   pit->second.erase(cb_it);
-  const Payload& msg = ready_[sc][p];
+  // By value: a callback may move the window past p, which erases the
+  // stored entry while later waiters still need the message.
+  const Payload msg = ready_[sc][p];
   for (ReceiveCallback& cb : cbs) cb(RecvResult{false, 0, msg});
 }
 

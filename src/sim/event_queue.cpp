@@ -6,22 +6,22 @@ namespace spider {
 
 // 4-ary layout: children of i are 4i+1 .. 4i+4, parent is (i-1)/4. The
 // wider fan-out halves the tree depth vs a binary heap, and sift moves are
-// mostly std::function pointer swaps on a contiguous vector.
+// 24-byte key copies on a contiguous vector; callables never move.
 
 void EventQueue::sift_up(std::size_t i) {
-  Entry e = std::move(heap_[i]);
+  Key e = heap_[i];
   while (i > 0) {
     std::size_t parent = (i - 1) / 4;
     if (!before(e, heap_[parent])) break;
-    heap_[i] = std::move(heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = std::move(e);
+  heap_[i] = e;
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  Entry e = std::move(heap_[i]);
+  Key e = heap_[i];
   for (;;) {
     std::size_t best = 4 * i + 1;
     if (best >= n) break;
@@ -30,36 +30,59 @@ void EventQueue::sift_down(std::size_t i) {
       if (before(heap_[c], heap_[best])) best = c;
     }
     if (!before(heap_[best], e)) break;
-    heap_[i] = std::move(heap_[best]);
+    heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = std::move(e);
+  heap_[i] = e;
 }
 
 void EventQueue::pop_root() {
-  heap_.front() = std::move(heap_.back());
+  heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
 }
 
 void EventQueue::drop_dead_root() {
-  while (!heap_.empty() && pending_.find(heap_.front().id) == pending_.end()) pop_root();
+  while (!heap_.empty() && !live(heap_.front())) pop_root();
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Cell& c = cells_[slot];
+  c.seq = 0;
+  if (++c.gen == 0) c.gen = 1;  // 0 would let slot 0 mint kInvalidEvent
+  c.fn.reset();
+  c.next_free = free_head_;
+  free_head_ = slot;
+  --live_;
 }
 
 EventQueue::EventId EventQueue::schedule_at(Time at, Fn fn) {
   if (at < now_) at = now_;
-  EventId id = next_id_++;
-  heap_.push_back(Entry{at, id, std::move(fn)});
+  std::uint32_t slot = free_head_;
+  if (slot != kNoFree) {
+    free_head_ = cells_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(cells_.size());
+    cells_.emplace_back();
+  }
+  Cell& c = cells_[slot];
+  c.seq = next_seq_++;
+  c.fn = std::move(fn);
+  heap_.push_back(Key{at, c.seq, slot});
   sift_up(heap_.size() - 1);
-  pending_.insert(id);
+  ++live_;
   ++scheduled_;
-  return id;
+  return (EventId{c.gen} << 32) | slot;
 }
 
 void EventQueue::cancel(EventId id) {
-  // Ids are generations: one that already fired (or was never issued) is
-  // absent from pending_, so a stale cancel can never kill a later event.
-  if (pending_.erase(id) == 0) return;
+  // The generation must match a live cell: an id that already fired, was
+  // cancelled or was never issued is a no-op, even if its slot was reused.
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= cells_.size()) return;
+  const Cell& c = cells_[slot];
+  if (c.seq == 0 || c.gen != static_cast<std::uint32_t>(id >> 32)) return;
+  release(slot);
   ++cancelled_;
   maybe_compact();
 }
@@ -67,14 +90,8 @@ void EventQueue::cancel(EventId id) {
 void EventQueue::maybe_compact() {
   // Compact when more than half the heap is tombstones, so cancelled
   // entries cannot accumulate beyond 2x the live set.
-  if (heap_.size() < 64 || pending_.size() * 2 >= heap_.size()) return;
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < heap_.size(); ++r) {
-    if (pending_.find(heap_[r].id) == pending_.end()) continue;
-    if (w != r) heap_[w] = std::move(heap_[r]);
-    ++w;
-  }
-  heap_.resize(w);
+  if (heap_.size() < 64 || live_ * 2 >= heap_.size()) return;
+  std::erase_if(heap_, [this](const Key& k) { return !live(k); });
   // Floyd heap construction: sift down from the last parent.
   for (std::size_t i = heap_.size() / 4 + 1; i-- > 0;) {
     if (i < heap_.size()) sift_down(i);
@@ -90,11 +107,13 @@ std::optional<Time> EventQueue::next_time() {
 bool EventQueue::run_next() {
   drop_dead_root();
   if (heap_.empty()) return false;
-  now_ = heap_.front().at;
-  EventId id = heap_.front().id;
-  Fn fn = std::move(heap_.front().fn);
+  const Key k = heap_.front();
+  now_ = k.at;
   pop_root();
-  pending_.erase(id);
+  // Take the callable out first: it may schedule (growing the slab) or
+  // cancel its own, already-fired id (a no-op once released).
+  Fn fn = std::move(cells_[k.slot].fn);
+  release(k.slot);
   ++fired_;
   fn();
   return true;

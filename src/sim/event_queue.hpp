@@ -3,22 +3,31 @@
 // Events at equal timestamps run in scheduling order (FIFO), which makes
 // whole-system runs fully deterministic for a given seed.
 //
-// Implementation: a flat 4-ary min-heap ordered by (time, event id). Ids
-// are allocated monotonically and never reused, so the id doubles as both
-// the FIFO tie-break at equal timestamps (exactly the order the previous
-// std::map<pair<Time, EventId>> implementation produced — seed replay stays
-// byte-identical) and as the generation counter for lazy cancellation: a
-// cancel of an id that already fired is a guaranteed no-op because that
-// generation has left `pending_` forever. Cancelled entries stay in the
-// heap as tombstones until they surface (O(1) cancel); to bound heap
-// garbage the heap is compacted in place whenever more than half of it is
-// dead.
+// Implementation: a flat 4-ary min-heap of 24-byte {at, seq, slot} keys,
+// ordered by (time, seq). `seq` is allocated monotonically and never
+// reused, so it is the FIFO tie-break at equal timestamps (exactly the
+// order the earlier std::map<pair<Time, id>> and std::function-heap
+// implementations produced — seed replay stays byte-identical).
+//
+// Callables live in a free-listed slab of cells, one per pending event; the
+// heap only moves keys. A key is live while its cell still holds the same
+// seq: firing or cancelling an event empties the cell and returns it to the
+// free list, which turns every key pointing at it into a tombstone. Tombstones
+// stay in the heap until they surface (O(1) cancel); to bound heap garbage
+// the heap is compacted in place whenever more than half of it is dead.
+//
+// An EventId is `generation << 32 | slot`. A cell's generation advances
+// every time its event fires or is cancelled, so a stale or never-issued
+// id never matches a live cell and cancel() of it is a guaranteed no-op,
+// even after the cell was reused by a later event.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
 #include <optional>
-#include <unordered_set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,7 +37,77 @@ namespace spider {
 
 class EventQueue {
  public:
-  using Fn = std::function<void()>;
+  /// Move-only `void()` callable stored inline: no heap allocation per
+  /// event. A callable that does not fit is a compile-time error.
+  class Fn {
+   public:
+    static constexpr std::size_t kInlineBytes = 128;
+
+    Fn() = default;
+    template <typename F>
+      requires(!std::same_as<std::remove_cvref_t<F>, Fn> &&
+               std::invocable<std::remove_cvref_t<F>&>)
+    Fn(F&& f) {  // NOLINT(google-explicit-constructor): lambdas convert implicitly
+      using D = std::remove_cvref_t<F>;
+      static_assert(sizeof(D) <= kInlineBytes,
+                    "EventQueue::Fn: callable exceeds the inline buffer; capture less");
+      static_assert(alignof(D) <= alignof(std::max_align_t),
+                    "EventQueue::Fn: callable is over-aligned");
+      static_assert(std::is_nothrow_move_constructible_v<D>,
+                    "EventQueue::Fn: callable must be nothrow-movable");
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kOps<D>;
+    }
+    Fn(Fn&& o) noexcept : ops_(o.ops_) {
+      if (ops_) {
+        ops_->relocate(buf_, o.buf_);
+        o.ops_ = nullptr;
+      }
+    }
+    Fn& operator=(Fn&& o) noexcept {
+      if (this != &o) {
+        reset();
+        ops_ = o.ops_;
+        if (ops_) {
+          ops_->relocate(buf_, o.buf_);
+          o.ops_ = nullptr;
+        }
+      }
+      return *this;
+    }
+    Fn(const Fn&) = delete;
+    Fn& operator=(const Fn&) = delete;
+    ~Fn() { reset(); }
+
+    void operator()() { ops_->call(buf_); }
+    explicit operator bool() const { return ops_ != nullptr; }
+    void reset() {
+      if (ops_) {
+        ops_->destroy(buf_);
+        ops_ = nullptr;
+      }
+    }
+
+   private:
+    struct Ops {
+      void (*call)(void*);
+      void (*relocate)(void* dst, void* src);  // move-construct into dst, destroy src
+      void (*destroy)(void*);
+    };
+    template <typename D>
+    static constexpr Ops kOps = {
+        [](void* p) { (*static_cast<D*>(p))(); },
+        [](void* dst, void* src) {
+          ::new (dst) D(std::move(*static_cast<D*>(src)));
+          static_cast<D*>(src)->~D();
+        },
+        [](void* p) { static_cast<D*>(p)->~D(); },
+    };
+
+    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+    const Ops* ops_ = nullptr;
+  };
+
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEvent = 0;
 
@@ -39,19 +118,19 @@ class EventQueue {
   /// Schedules `fn` after `delay` from now.
   EventId schedule_after(Duration delay, Fn fn) { return schedule_at(now_ + delay, std::move(fn)); }
 
-  /// Cancels a pending event; no-op if already fired or cancelled. O(1):
-  /// the heap entry becomes a tombstone swept out lazily.
+  /// Cancels a pending event; no-op if already fired, cancelled or never
+  /// issued. O(1): the heap key becomes a tombstone swept out lazily.
   void cancel(EventId id);
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] bool empty() const { return pending_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return live_; }
   /// Heap slots currently occupied (live + tombstones); the compaction
   /// invariant keeps this below 2x pending() + a small constant.
   [[nodiscard]] std::size_t heap_slots() const { return heap_.size(); }
 
   // Lifetime scheduler counters (plain u64 increments on paths that already
-  // touch pending_, so the hot-loop cost is noise; exported via
+  // touch the event's cell, so the hot-loop cost is noise; exported via
   // World::refresh_platform_metrics()).
   [[nodiscard]] std::uint64_t scheduled_total() const { return scheduled_; }
   [[nodiscard]] std::uint64_t fired_total() const { return fired_; }
@@ -71,28 +150,41 @@ class EventQueue {
   void run_all(std::size_t max_events = 100'000'000);
 
  private:
-  struct Entry {
+  struct Key {
     Time at;
-    EventId id;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Cell {
+    std::uint64_t seq = 0;  // seq of the pending event here; 0 = free
+    std::uint32_t gen = 1;  // advances on every release; never 0
+    std::uint32_t next_free = 0;
     Fn fn;
   };
-  static bool before(const Entry& a, const Entry& b) {
-    return a.at < b.at || (a.at == b.at && a.id < b.id);
+  static bool before(const Key& a, const Key& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
   }
+  [[nodiscard]] bool live(const Key& k) const { return cells_[k.slot].seq == k.seq; }
+  /// Empties `slot`'s cell and puts it on the free list.
+  void release(std::uint32_t slot);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  /// Pops dead entries off the root until the minimum is live (or empty).
+  /// Pops dead keys off the root until the minimum is live (or empty).
   void drop_dead_root();
   void pop_root();
   void maybe_compact();
 
+  static constexpr std::uint32_t kNoFree = ~std::uint32_t{0};
+
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t scheduled_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> pending_;  // live (scheduled, not yet fired/cancelled)
+  std::size_t live_ = 0;
+  std::vector<Key> heap_;
+  std::vector<Cell> cells_;
+  std::uint32_t free_head_ = kNoFree;
 };
 
 }  // namespace spider

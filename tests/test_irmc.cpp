@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+
 #include "irmc/rc.hpp"
 #include "irmc/sc.hpp"
 #include "sim/world.hpp"
@@ -286,6 +290,27 @@ TEST_P(IrmcSuite, CrashedSenderMinorityHarmless) {
   EXPECT_EQ(got, m);
 }
 
+TEST_P(IrmcSuite, WaiterAfterInCallbackWindowMoveGetsMessage) {
+  // Two waiters at one position: the first one's callback moves the window
+  // past it, which frees the stored message. The second must still get it.
+  ChannelFixture f(GetParam());
+  Bytes m = f.msg(7);
+  std::vector<RecvResult> got;
+  f.receivers[0]->receive(1, 1, [&](RecvResult res) {
+    got.push_back(res);
+    f.receivers[0]->move_window(1, 2);
+  });
+  f.receivers[0]->receive(1, 1, [&](RecvResult res) { got.push_back(res); });
+  f.send_from_all(1, 1, m);
+  f.world.run_for(kSecond);
+  ASSERT_EQ(got.size(), 2u);
+  for (const RecvResult& res : got) {
+    EXPECT_FALSE(res.too_old);
+    EXPECT_EQ(res.message.to_bytes(), m);
+  }
+  EXPECT_EQ(f.receivers[0]->window_start(1), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, IrmcSuite,
                          ::testing::Values(IrmcKind::ReceiverCollect, IrmcKind::SenderCollect),
                          [](const ::testing::TestParamInfo<IrmcKind>& info) {
@@ -313,6 +338,129 @@ TEST(IrmcRc, ForgedSendRejected) {
   f.receivers[0]->receive(1, 1, [&](RecvResult) { delivered = true; });
   f.world.run_for(kSecond);
   EXPECT_FALSE(delivered);
+}
+
+TEST(IrmcRc, NackReplaysRetainedSends) {
+  // Receiver 2 is down while positions 1..6 are sent; receivers 0 and 1
+  // consume and move the senders' window to 4, so each sender retains only
+  // the wires for 4..6. Revived with pending receive()s, receiver 2 stalls,
+  // nacks position 1 and must get: a Move to the window start, then the
+  // retained wires in ascending order — none below the window start.
+  ChannelFixture f(IrmcKind::ReceiverCollect);
+  const NodeId r2 = f.receiver_hosts[2]->id();
+  f.world.net().set_node_down(r2, true);
+  for (int p = 1; p <= 6; ++p) f.send_from_all(1, static_cast<Position>(p), f.msg(p));
+  f.world.run_for(kSecond);
+  f.receivers[0]->move_window(1, 4);
+  f.receivers[1]->move_window(1, 4);
+  f.world.run_for(kSecond);
+  for (auto& s : f.senders) ASSERT_EQ(s->window_start(1), 4u);
+
+  f.world.net().set_node_down(r2, false);
+  std::size_t to_r2 = 0;  // messages from the senders to receiver 2
+  f.world.net().set_link_filter([&](NodeId from, NodeId to) {
+    if (to == r2 && std::find(f.cfg.senders.begin(), f.cfg.senders.end(), from) !=
+                        f.cfg.senders.end()) {
+      ++to_r2;
+    }
+    return true;
+  });
+  RecvResult old;
+  f.receivers[2]->receive(1, 1, [&](RecvResult res) { old = res; });
+  std::vector<Position> order;
+  for (Position p = 4; p <= 6; ++p) {
+    f.receivers[2]->receive(1, p, [&, p](RecvResult res) {
+      ASSERT_FALSE(res.too_old);
+      EXPECT_EQ(res.message.to_bytes(), f.msg(static_cast<int>(p)));
+      order.push_back(p);
+    });
+  }
+  f.world.run_for(3 * kSecond);
+  EXPECT_TRUE(old.too_old);
+  EXPECT_EQ(old.window_start, 4u);
+  EXPECT_EQ(order, (std::vector<Position>{4, 5, 6}));
+  // Per sender: one Move plus the three retained wires, nothing more.
+  EXPECT_EQ(to_r2, f.senders.size() * (1 + 3));
+}
+
+TEST(IrmcRc, WindowRingsSurviveLongRunsOnInterleavedSubchannels) {
+  // 12 x capacity positions through a capacity-4 window on three
+  // subchannels at once: every ring slot is reused many times. Subchannel
+  // 2's receivers stop consuming at position 8; that must stall only
+  // subchannel 2, and it must resume cleanly afterwards.
+  constexpr Position kCap = 4;
+  constexpr Position kN = 12 * kCap;
+  constexpr Position kStall = 8;
+  ChannelFixture f(IrmcKind::ReceiverCollect, 4, 3, kCap);
+  const std::vector<Subchannel> subchannels{1, 2, 3};
+  auto content = [&](Subchannel sc, Position p) {
+    return f.msg(static_cast<int>(sc * 1000 + p));
+  };
+  std::map<Subchannel, std::size_t> transmitted;  // sender 0's send callbacks
+  for (Position p = 1; p <= kN; ++p) {
+    for (Subchannel sc : subchannels) {
+      for (std::size_t i = 0; i < f.senders.size(); ++i) {
+        f.senders[i]->send(sc, p, content(sc, p), [&, i, sc](bool too_old, Position) {
+          EXPECT_FALSE(too_old);
+          if (i == 0) ++transmitted[sc];
+        });
+      }
+    }
+  }
+
+  // Receivers consume in order and move their window after every message.
+  // Receiver 2 pauses for 250 ms after position 2 x capacity + 1 while the
+  // two others (fr+1) keep moving the senders' window, so Sends up to a
+  // window ahead of it land in the slack half of its ring while the
+  // positions in front of them still wait to be consumed.
+  std::map<std::pair<std::size_t, Subchannel>, Position> next;
+  Position limit2 = kStall;
+  std::function<void(std::size_t, Subchannel)> consume = [&](std::size_t i, Subchannel sc) {
+    Position p = next[{i, sc}] + 1;
+    if (p > (sc == 2 ? limit2 : kN)) return;
+    f.receivers[i]->receive(sc, p, [&, i, sc, p](RecvResult res) {
+      ASSERT_FALSE(res.too_old);
+      EXPECT_EQ(res.message.to_bytes(), content(sc, p));
+      next[{i, sc}] = p;
+      auto advance = [&, i, sc, p] {
+        f.receivers[i]->move_window(sc, p + 1);
+        consume(i, sc);
+      };
+      if (i == 2 && p == 2 * kCap + 1) {
+        f.world.queue().schedule_after(250 * kMillisecond, advance);
+      } else {
+        advance();
+      }
+    });
+  };
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+    for (Subchannel sc : subchannels) consume(i, sc);
+  }
+  f.world.run_for(30 * kSecond);
+
+  for (Subchannel sc : {Subchannel{1}, Subchannel{3}}) {
+    for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+      EXPECT_EQ((next[{i, sc}]), kN) << "receiver " << i << " sc " << sc;
+      EXPECT_EQ(f.receivers[i]->window_start(sc), kN + 1);
+    }
+    for (auto& s : f.senders) EXPECT_EQ(s->window_start(sc), kN + 1);
+    EXPECT_EQ(transmitted[sc], kN);
+  }
+  // Subchannel 2 is stuck with a full window [9, 12] and the rest queued.
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+    EXPECT_EQ((next[{i, Subchannel{2}}]), kStall);
+  }
+  for (auto& s : f.senders) EXPECT_EQ(s->window_start(2), kStall + 1);
+  EXPECT_EQ(transmitted[2], kStall + kCap);
+
+  limit2 = kN;
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) consume(i, 2);
+  f.world.run_for(30 * kSecond);
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+    EXPECT_EQ((next[{i, Subchannel{2}}]), kN);
+  }
+  for (auto& s : f.senders) EXPECT_EQ(s->window_start(2), kN + 1);
+  EXPECT_EQ(transmitted[2], kN);
 }
 
 // ------------------------------------------------------------ SC-specific

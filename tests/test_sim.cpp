@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "common/serde.hpp"
 #include "sim/component.hpp"
 #include "sim/node.hpp"
@@ -117,16 +120,66 @@ TEST(EventQueue, CancelledEntriesDoNotAccumulate) {
 }
 
 TEST(EventQueue, CancelOfStaleIdNeverKillsALaterEvent) {
-  // Ids are generation counters: once an id fires, cancelling it is a
-  // permanent no-op — it can never alias a later event.
+  // Ids carry a per-cell generation: once an id fires, cancelling it is a
+  // permanent no-op — it can never alias a later event, not even one that
+  // reuses the same cell (EventId = generation << 32 | slot).
   EventQueue q;
   auto stale = q.schedule_at(10, [] {});
   q.run_all();
   bool fired = false;
-  q.schedule_at(20, [&] { fired = true; });
+  auto later = q.schedule_at(20, [&] { fired = true; });
+  EXPECT_EQ(later & 0xffffffffu, stale & 0xffffffffu) << "the fired event's cell is reused";
+  EXPECT_NE(later, stale);
   q.cancel(stale);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.cancelled_total(), 0u);
   q.run_all();
   EXPECT_TRUE(fired);
+
+  // The same holds for a cell freed by a cancel.
+  auto cancelled = q.schedule_at(30, [] {});
+  q.cancel(cancelled);
+  bool reused_fired = false;
+  auto reuse = q.schedule_at(40, [&] { reused_fired = true; });
+  EXPECT_EQ(reuse & 0xffffffffu, cancelled & 0xffffffffu);
+  q.cancel(cancelled);
+  EXPECT_EQ(q.cancelled_total(), 1u);
+  q.run_all();
+  EXPECT_TRUE(reused_fired);
+}
+
+TEST(EventQueue, NeverIssuedHandlesAreNoops) {
+  EventQueue q;
+  int fired = 0;
+  auto id = q.schedule_at(10, [&] { ++fired; });
+  const std::size_t pending = q.pending();
+  const std::uint64_t cancelled = q.cancelled_total();
+  q.cancel(EventQueue::kInvalidEvent);
+  q.cancel(~0ull);
+  q.cancel(id + (1ull << 32));  // the live event's slot, a wrong generation
+  EXPECT_EQ(q.pending(), pending);
+  EXPECT_EQ(q.cancelled_total(), cancelled);
+  q.run_all();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, MoveOnlyAndFullSizeCallablesRun) {
+  // Callables are stored inline (up to EventQueue::Fn::kInlineBytes) and
+  // need only be movable.
+  EventQueue q;
+  auto owned = std::make_unique<int>(7);
+  int seen = 0;
+  q.schedule_at(10, [&seen, p = std::move(owned)] { seen = *p; });
+  struct Big {
+    std::array<char, EventQueue::Fn::kInlineBytes - sizeof(int*)> pad{};
+    int* out;
+    void operator()() const { *out = static_cast<int>(pad.size()); }
+  };
+  int big = 0;
+  q.schedule_at(20, Big{{}, &big});
+  q.run_all();
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(big, static_cast<int>(EventQueue::Fn::kInlineBytes - sizeof(int*)));
 }
 
 TEST(EventQueue, CancelFromInsideHandler) {
