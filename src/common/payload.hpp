@@ -90,6 +90,9 @@ class Payload {
     return buf_ && buf_ == other.buf_;
   }
 
+  /// Number of payloads (slices included) holding this buffer; 0 when empty.
+  [[nodiscard]] long use_count() const { return buf_.use_count(); }
+
  private:
   struct MemoEntry {
     std::size_t off;

@@ -1,6 +1,6 @@
 #include "sim/world.hpp"
 
-#include "common/payload.hpp"
+#include <algorithm>
 
 namespace spider {
 
@@ -23,6 +23,16 @@ obs::Tracer& World::enable_tracing(obs::Tracer::Mode mode, std::size_t ring_capa
 void World::name_node(NodeId id, std::string name) {
   node_names_[id] = std::move(name);
   if (tracer_raw_) tracer_raw_->name_process(id, node_names_[id]);
+}
+
+Payload World::intern_state(Bytes state) {
+  std::erase_if(interned_, [](const Payload& p) { return p.use_count() == 1; });
+  for (const Payload& p : interned_) {
+    if (p.size() == state.size() && std::equal(state.begin(), state.end(), p.data())) {
+      return p;
+    }
+  }
+  return interned_.emplace_back(std::move(state));
 }
 
 void World::disable_tracing() {

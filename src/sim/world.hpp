@@ -7,8 +7,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/ids.hpp"
+#include "common/payload.hpp"
 #include "common/rng.hpp"
 #include "crypto/provider.hpp"
 #include "obs/metrics.hpp"
@@ -59,6 +61,16 @@ class World {
   /// Allocates a fresh process id.
   NodeId allocate_id() { return next_id_++; }
 
+  /// Checkpoint-state interning: returns the live buffer byte-identical to
+  /// `state` (size compared first, then bytes), or a new buffer when none
+  /// matches. Replicas of a group snapshot identical states, so they share
+  /// one buffer and its memoized digest is computed once per distinct
+  /// state. Entries only this table still holds are dropped on the next
+  /// call, so it retains nothing the replicas have released.
+  Payload intern_state(Bytes state);
+  /// Live entries in the intern table (test hook).
+  [[nodiscard]] std::size_t interned_states() const { return interned_.size(); }
+
   // ---- observability ----------------------------------------------------
   /// Per-world metrics registry. Always present; recording a counter is a
   /// u64 increment, so protocol code uses it unconditionally.
@@ -98,6 +110,7 @@ class World {
   std::unique_ptr<obs::Tracer> tracer_;
   obs::Tracer* tracer_raw_ = nullptr;
   std::map<NodeId, std::string> node_names_;
+  std::vector<Payload> interned_;  // see intern_state()
   // Process-global digest total at construction: metrics report this
   // World's digests only, keeping snapshots deterministic across replays
   // in one process.

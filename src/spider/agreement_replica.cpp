@@ -106,10 +106,10 @@ void AgreementReplica::setup_channel(const RegistryEntry& info, bool backfill) {
     // Give the new group the recent Execute history; everything older must
     // come from an execution checkpoint of another group (paper §3.6).
     Channel& nc = channels_.at(g);
-    for (const ExecuteBatchMsg& h : hist_) {
-      nc.commit_tx->send(0, h.first(), derive_for(g, h).encode(), {});
+    for (const HistEntry& h : hist_) {
+      nc.commit_tx->send(0, h.batch.first(), derive_for(g, h.batch).encode(), {});
     }
-    nc.commit_tx->move_window(0, hist_.front().first());
+    nc.commit_tx->move_window(0, hist_.front().batch.first());
   }
 }
 
@@ -239,7 +239,7 @@ void AgreementReplica::handle_ordered(SeqNr first, const std::vector<Bytes>& bat
   }
   sn_ = canonical.last();
 
-  hist_.push_back(canonical);
+  hist_.push_back({canonical, canonical.encode()});
   trim_hist();
 
   dispatch_execute(canonical, /*count_completions=*/true);
@@ -250,7 +250,7 @@ void AgreementReplica::trim_hist() {
   // Drop batches that lie entirely below the last |commit window| logical
   // requests. A batch straddling the window edge is kept whole, so every
   // retained position is reachable at its batch's stored IRMC position.
-  while (hist_.size() > 1 && hist_.front().last() + cfg_.commit_capacity <= sn_) {
+  while (hist_.size() > 1 && hist_.front().batch.last() + cfg_.commit_capacity <= sn_) {
     hist_.pop_front();
   }
 }
@@ -329,15 +329,21 @@ void AgreementReplica::maybe_checkpoint() {
 }
 
 Bytes AgreementReplica::snapshot_state() const {
-  Writer w;
+  // Retained batches go in pre-encoded, and the state is sized exactly so
+  // it is written into one allocation.
+  Bytes reg = registry_.encode();
+  std::size_t size = 4 + t_.size() * (4 + 8) + 4 + 4 + reg.size();
+  for (const HistEntry& h : hist_) size += 4 + h.encoded.size();
+
+  Writer w(size);
   w.u32(static_cast<std::uint32_t>(t_.size()));
   for (const auto& [c, tc] : t_) {
     w.u32(c);
     w.u64(tc);
   }
   w.u32(static_cast<std::uint32_t>(hist_.size()));
-  for (const ExecuteBatchMsg& h : hist_) w.bytes(h.encode());
-  w.bytes(registry_.encode());
+  for (const HistEntry& h : hist_) w.bytes(h.encoded);
+  w.bytes(reg);
   return std::move(w).take();
 }
 
@@ -361,10 +367,12 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
         t2[c] = r.u64();
       }
       std::uint32_t nh = r.u32();
-      std::deque<ExecuteBatchMsg> hist2;
+      std::deque<HistEntry> hist2;
       for (std::uint32_t i = 0; i < nh; ++i) {
         Reader er(r.bytes_view());
-        hist2.push_back(ExecuteBatchMsg::decode(er));
+        ExecuteBatchMsg batch = ExecuteBatchMsg::decode(er);
+        Bytes encoded = batch.encode();
+        hist2.push_back({std::move(batch), std::move(encoded)});
       }
       Reader rr(r.bytes_view());
       RegistrySnapshot reg = RegistrySnapshot::decode(rr);
@@ -412,13 +420,13 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
 
   // Move commit windows to the oldest retained batch boundary so stored
   // positions and window starts stay aligned.
-  Position new_lo = hist_.empty() ? s + 1 : hist_.front().first();
+  Position new_lo = hist_.empty() ? s + 1 : hist_.front().batch.first();
   for (auto& [g, ch] : channels_) ch.commit_tx->move_window(0, new_lo);
 
   if (adopted) {
     // Push the skipped Execute batches out on all commit channels (L. 52-55).
-    for (const ExecuteBatchMsg& h : hist_) {
-      if (h.first() > old_sn && h.last() <= s) dispatch_execute(h, false);
+    for (const HistEntry& h : hist_) {
+      if (h.batch.first() > old_sn && h.batch.last() <= s) dispatch_execute(h.batch, false);
     }
   }
 

@@ -65,6 +65,7 @@ class AgreementReplica : public ComponentHost {
   [[nodiscard]] SeqNr ordered_seq() const { return sn_; }
   [[nodiscard]] const RegistrySnapshot& registry() const { return registry_; }
   [[nodiscard]] PbftReplica& consensus() { return *pbft_; }
+  [[nodiscard]] const Checkpointer& checkpointer() const { return *checkpointer_; }
   [[nodiscard]] std::size_t group_count() const { return channels_.size(); }
 
  private:
@@ -104,8 +105,14 @@ class AgreementReplica : public ComponentHost {
   std::map<NodeId, std::uint64_t> t_plus_;  // next expected counter per client
   /// Recent Execute batches covering the last |commit window| logical
   /// sequence numbers; front is always a batch boundary so commit-channel
-  /// window moves stay aligned with batch positions.
-  std::deque<ExecuteBatchMsg> hist_;
+  /// window moves stay aligned with batch positions. Each batch keeps its
+  /// encoding, which snapshot_state() writes as-is: a batch is encoded once
+  /// when ordered (or when adopted from a checkpoint), not every `ka`.
+  struct HistEntry {
+    ExecuteBatchMsg batch;
+    Bytes encoded;  // batch.encode()
+  };
+  std::deque<HistEntry> hist_;
   std::set<std::pair<GroupId, Subchannel>> pulling_;
 
   std::deque<std::pair<SeqNr, std::vector<Bytes>>> deliver_queue_;

@@ -77,13 +77,17 @@ void Checkpointer::gen_cp(SeqNr s, Bytes state) {
     }
     // Keep the genuine snapshot so check_stable can adopt the correct
     // checkpoint when f+1 honest votes stabilize it.
-    own_snapshots_[s] = Payload(std::move(state));
+    own_snapshots_[s] = host().world().intern_state(std::move(state));
     return;
   }
-  Payload snapshot(std::move(state));
+  // Interned: group members with byte-identical states share one buffer,
+  // so the digest below is computed once per distinct state. The modeled
+  // hash is still charged to every replica.
+  Payload snapshot = host().world().intern_state(std::move(state));
   host().charge_hash(snapshot.size());
   Sha256Digest h = snapshot.digest();
   own_snapshots_[s] = std::move(snapshot);
+  last_generated_ = {s, h};
 
   Bytes body = checkpoint_body(s, h);
   host().charge_sign();

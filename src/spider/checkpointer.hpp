@@ -63,6 +63,15 @@ class Checkpointer : public Component {
   void on_message(NodeId from, Reader& r) override;
 
   [[nodiscard]] SeqNr last_stable() const { return last_stable_; }
+  /// The latest stable state this replica holds (empty before the first).
+  [[nodiscard]] Payload stable_state() const {
+    return stable_states_.empty() ? Payload{} : stable_states_.rbegin()->second;
+  }
+  /// Sequence number and digest of the last genuine checkpoint this
+  /// replica generated ({0, {}} before the first).
+  [[nodiscard]] std::pair<SeqNr, Sha256Digest> last_generated() const {
+    return last_generated_;
+  }
 
  private:
   enum class MsgType : std::uint8_t { Checkpoint = 1, Fetch = 2, State = 3 };
@@ -93,6 +102,7 @@ class Checkpointer : public Component {
   std::map<SeqNr, Payload> own_snapshots_;     // states this replica produced
   std::map<SeqNr, Payload> stable_states_;     // stable states (for peers)
   std::map<SeqNr, Bytes> stable_proofs_;       // serialized f+1 sig proofs
+  std::pair<SeqNr, Sha256Digest> last_generated_{0, {}};
   std::vector<NodeId> fetch_peers_;
   SeqNr fetch_target_ = 0;
   EventQueue::EventId fetch_timer_ = EventQueue::kInvalidEvent;

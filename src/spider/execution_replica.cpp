@@ -33,8 +33,11 @@ Bytes rejected_op_reply() {
 ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                                    std::unique_ptr<Application> app)
     : ComponentHost(world, cfg.self == kInvalidNode ? world.allocate_id() : cfg.self, site),
-      cfg_(std::move(cfg)), app_(std::move(app)), map_(cfg_.shard_map),
-      shard_index_(cfg_.shard_index) {
+      cfg_(std::move(cfg)), app_(std::move(app)),
+      checkpoints_(world.metrics().counter("exec_checkpoints_taken",
+                                           {.node = id(), .role = "exec"})),
+      catchups_(world.metrics().counter("exec_catchups", {.node = id(), .role = "exec"})),
+      map_(cfg_.shard_map), shard_index_(cfg_.shard_index) {
   IrmcConfig req_cfg;
   req_cfg.senders = cfg_.members;
   req_cfg.receivers = cfg_.agreement;
@@ -201,7 +204,7 @@ void ExecutionReplica::process_batch(const ExecuteBatchMsg& batch) {
     // and range state through ordinary checkpoint transfer.
     cut_checkpoint_ = false;
     last_cp_ = sn_;
-    ++checkpoints_;
+    checkpoints_.inc();
     checkpointer_->gen_cp(sn_, snapshot_state());
     return;
   }
@@ -372,7 +375,7 @@ void ExecutionReplica::maybe_checkpoint() {
   // batch boundary here, keeping checkpoints aligned with stored batches.
   if (sn_ < last_cp_ + cfg_.ke) return;
   last_cp_ = sn_;
-  ++checkpoints_;
+  checkpoints_.inc();
   if (auto* t = tracer()) {
     t->instant(now(), id(), "checkpoint", "gen_cp", "seq", sn_);
   }
@@ -380,7 +383,16 @@ void ExecutionReplica::maybe_checkpoint() {
 }
 
 Bytes ExecutionReplica::snapshot_state() const {
-  Writer w;
+  // Sized exactly up front, so the state is written into one allocation.
+  Bytes app = app_->snapshot();
+  // Resharding deployments append the enforced map so adopted checkpoints
+  // carry ownership along with state. Absent map = absent section, which
+  // keeps the original byte format for every existing deployment.
+  Bytes map = map_ ? map_->encode() : Bytes{};
+  std::size_t size = 4 + 4 + app.size() + (map_ ? 4 + 4 + map.size() : 0);
+  for (const auto& [client, e] : replies_) size += 4 + 8 + 1 + 4 + e.result.size();
+
+  Writer w(size);
   w.u32(static_cast<std::uint32_t>(replies_.size()));
   for (const auto& [client, e] : replies_) {
     w.u32(client);
@@ -388,13 +400,10 @@ Bytes ExecutionReplica::snapshot_state() const {
     w.boolean(e.placeholder);
     w.bytes(e.result);
   }
-  w.bytes(app_->snapshot());
-  // Resharding deployments append the enforced map so adopted checkpoints
-  // carry ownership along with state. Absent map = absent section, which
-  // keeps the original byte format for every existing deployment.
+  w.bytes(app);
   if (map_) {
     w.u32(shard_index_);
-    w.bytes(map_->encode());
+    w.bytes(map);
   }
   return std::move(w).take();
 }
@@ -430,7 +439,7 @@ void ExecutionReplica::apply_state(SeqNr s, BytesView state) {
   }
   replies_ = std::move(replies);
   sn_ = s;
-  ++catchups_;
+  catchups_.inc();
   if (auto* t = tracer()) {
     t->instant(now(), id(), "checkpoint", "catchup", "seq", s);
   }

@@ -14,6 +14,7 @@
 
 #include "app/application.hpp"
 #include "irmc/irmc.hpp"
+#include "obs/metrics.hpp"
 #include "shard/migration.hpp"
 #include "sim/byzantine.hpp"
 #include "sim/component.hpp"
@@ -64,8 +65,11 @@ class ExecutionReplica : public ComponentHost {
   [[nodiscard]] SeqNr executed_seq() const { return sn_; }
   [[nodiscard]] GroupId group() const { return cfg_.group; }
   [[nodiscard]] const Application& app() const { return *app_; }
-  [[nodiscard]] std::uint64_t checkpoints_taken() const { return checkpoints_; }
-  [[nodiscard]] std::uint64_t catchups() const { return catchups_; }
+  /// Thin reads of the registry counters `exec_checkpoints_taken` and
+  /// `exec_catchups` {node, role="exec"}; like every per-node metric they
+  /// count across incarnations of the node id.
+  [[nodiscard]] std::uint64_t checkpoints_taken() const { return checkpoints_.value(); }
+  [[nodiscard]] std::uint64_t catchups() const { return catchups_.value(); }
   [[nodiscard]] const std::optional<ShardMap>& shard_map() const { return map_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
 
@@ -102,6 +106,8 @@ class ExecutionReplica : public ComponentHost {
   std::unique_ptr<IrmcSenderEndpoint> request_tx_;
   std::unique_ptr<IrmcReceiverEndpoint> commit_rx_;
   std::unique_ptr<Checkpointer> checkpointer_;
+  obs::Counter& checkpoints_;
+  obs::Counter& catchups_;
 
   SeqNr sn_ = 0;
   SeqNr last_cp_ = 0;  // seq of the newest checkpoint (taken or adopted)
@@ -114,8 +120,6 @@ class ExecutionReplica : public ComponentHost {
   std::map<NodeId, ReplyCacheEntry> replies_;    // reply cache u[c]
   std::shared_ptr<std::set<NodeId>> trusted_peers_;  // other groups' members
   bool waiting_checkpoint_ = false;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t catchups_ = 0;
   // Live-resharding state. map_ tracks the table this replica enforces;
   // cut_checkpoint_ forces a checkpoint right after the batch that carried
   // a migration op, so the range cut/adopt is immediately certified and

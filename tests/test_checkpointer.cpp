@@ -290,6 +290,77 @@ TEST(Checkpointer, ForgedCheckpointMessageRejected) {
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());
 }
 
+TEST(Checkpointer, IdenticalStatesShareOneStableBuffer) {
+  // Group members with byte-identical states share one interned buffer,
+  // so the state is hashed once for the whole group.
+  CkptFixture f;
+  Bytes st = CkptFixture::state(5);
+  for (auto& cp : f.cps) cp->gen_cp(10, st);
+  f.world.run_for(kSecond);
+  Payload shared = f.cps[0]->stable_state();
+  ASSERT_EQ(shared.to_bytes(), st);
+  for (auto& cp : f.cps) {
+    EXPECT_EQ(cp->last_stable(), 10u);
+    EXPECT_TRUE(cp->stable_state().shares_buffer_with(shared));
+    EXPECT_EQ(cp->last_generated().second, Sha256::hash(st));
+  }
+  EXPECT_EQ(shared.digest_computations(), 1u);
+}
+
+TEST(Checkpointer, ForgerTamperedStateNeverSharesACorrectBuffer) {
+  CkptFixture f;
+  f.cps[2]->forge_checkpoints = true;
+  Bytes st = CkptFixture::state(6);
+  for (auto& cp : f.cps) cp->gen_cp(10, st);
+  f.world.run_for(kSecond);
+
+  Payload shared = f.cps[0]->stable_state();
+  ASSERT_EQ(shared.to_bytes(), st);
+  EXPECT_TRUE(f.cps[1]->stable_state().shares_buffer_with(shared));
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(f.stable[i].size(), 1u);
+    EXPECT_EQ(f.stable[i][0].second, st);
+  }
+  // Only the genuine state was interned; the tampered copy the forger
+  // voted for and certified never entered the table.
+  EXPECT_EQ(f.world.interned_states(), 1u);
+  // The forger adopts the group's correct checkpoint from its genuine copy.
+  EXPECT_EQ(f.cps[2]->last_stable(), 10u);
+  EXPECT_EQ(f.cps[2]->stable_state().to_bytes(), st);
+}
+
+TEST(Checkpointer, CrashOfBufferCreatorKeepsSurvivorsStateFetchable) {
+  CkptFixture f;
+  Bytes st = CkptFixture::state(8);
+  for (auto& cp : f.cps) cp->gen_cp(20, st);  // member 0 creates the buffer
+  f.world.run_for(kSecond);
+  ASSERT_TRUE(f.cps[1]->stable_state().shares_buffer_with(f.cps[0]->stable_state()));
+
+  // Crash = the process is destroyed along with its handles on the buffer.
+  f.cps[0].reset();
+  f.hosts[0].reset();
+  Payload survivor = f.cps[1]->stable_state();
+  EXPECT_TRUE(survivor.shares_buffer_with(f.cps[2]->stable_state()));
+  EXPECT_EQ(survivor.to_bytes(), st);
+  EXPECT_EQ(survivor.digest(), Sha256::hash(st));
+
+  // A freshly joining replica still fetches it from the survivors.
+  auto host = std::make_unique<ComponentHost>(f.world, f.world.allocate_id(),
+                                              Site{Region::Virginia, 0});
+  f.trusted->insert(host->id());
+  std::vector<NodeId> group{f.hosts[1]->id(), f.hosts[2]->id(), host->id()};
+  std::vector<std::pair<SeqNr, Bytes>> got;
+  Checkpointer joiner(
+      *host, tags::kCheckpoint, group, 1,
+      [&](SeqNr s, BytesView state) { got.emplace_back(s, to_bytes(state)); },
+      [t = f.trusted](NodeId n) { return t->count(n) > 0; });
+  joiner.fetch_cp(20);
+  f.world.run_for(2 * kSecond);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].first, 20u);
+  EXPECT_EQ(got[0].second, st);
+}
+
 TEST(Checkpointer, LastStableTracksDeliveries) {
   CkptFixture f;
   EXPECT_EQ(f.cps[0]->last_stable(), 0u);

@@ -349,5 +349,32 @@ TEST(TraceEndToEnd, MetricsSnapshotIsDeterministicAcrossReplay) {
   EXPECT_NE(a.find("payload_digest_computations"), std::string::npos);
 }
 
+TEST(TraceEndToEnd, ExecutionCheckpointCountersAreRegistered) {
+  World world(6);
+  SpiderTopology topo;
+  SpiderSystem sys(world, topo);
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  int done = 0;
+  for (int i = 0; i < 20; ++i) {  // more than one ke = 16 interval
+    client->write(kv_put("k" + std::to_string(i), to_bytes("v")),
+                  [&done](Bytes, Duration) { ++done; });
+  }
+  world.run_for(20 * kSecond);
+  EXPECT_EQ(done, 20);
+  // Registered by the replicas themselves, before anyone looks them up.
+  std::string snap = world.metrics().snapshot_json();
+  EXPECT_NE(snap.find("\"exec_checkpoints_taken\""), std::string::npos);
+  EXPECT_NE(snap.find("\"exec_catchups\""), std::string::npos);
+  const ExecutionReplica& exec = sys.exec(sys.nearest_group(Region::Virginia), 0);
+  EXPECT_GE(exec.checkpoints_taken(), 1u);
+  EXPECT_EQ(world.metrics()
+                .counter("exec_checkpoints_taken", {.node = exec.id(), .role = "exec"})
+                .value(),
+            exec.checkpoints_taken());
+  EXPECT_EQ(
+      world.metrics().counter("exec_catchups", {.node = exec.id(), .role = "exec"}).value(),
+      exec.catchups());
+}
+
 }  // namespace
 }  // namespace spider

@@ -9,6 +9,7 @@
 
 #include "baselines/bft_system.hpp"
 #include "check/linearizer.hpp"
+#include "common/hex.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/world.hpp"
 #include "spider/system.hpp"
@@ -158,6 +159,48 @@ TEST(Recovery, RestartedAgreementReplicaRejoinsViewByEvidence) {
   world.run_for(2 * kSecond);
   EXPECT_EQ(sys.agreement(2).consensus().view(), sys.agreement(1).consensus().view());
   EXPECT_GE(sys.agreement(2).consensus().views_adopted(), 1u);
+}
+
+TEST(Recovery, AgreementReplicaAdoptingACheckpointKeepsByteIdenticalStates) {
+  // A partitioned follower falls so far behind that consensus garbage-
+  // collects what it missed: it can only catch up by adopting a stable
+  // agreement checkpoint, which rebuilds its retained batch history. Its
+  // next own checkpoint state must then match its peers' byte for byte.
+  World world(17);
+  SpiderSystem sys(world, topo_small());
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(drive::blocking_write(world, *client, "a", "1").ok);
+
+  AgreementReplica& lagger = sys.agreement(3);
+  FaultPlan plan(world);
+  std::vector<NodeId> rest;
+  for (std::size_t i = 0; i < 3; ++i) rest.push_back(sys.agreement(i).id());
+  plan.partition_nodes_at(world.now(), {lagger.id()}, rest);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(drive::blocking_write(world, *client, "p" + std::to_string(i), "x").ok);
+  }
+  // Past the consensus window (ag_win + ka = 40): no replay is possible.
+  SeqNr cut_off_at = lagger.ordered_seq();
+  ASSERT_LT(cut_off_at + 40, sys.agreement(0).ordered_seq());
+
+  plan.heal_at(world.now());
+  // Write until the lagger generates its first checkpoint after the heal:
+  // that state still holds batches adopted from the group's checkpoint.
+  SeqNr adopted = 0;
+  for (int i = 0; i < 40 && lagger.checkpointer().last_generated().first <= cut_off_at; ++i) {
+    ASSERT_TRUE(drive::blocking_write(world, *client, "h" + std::to_string(i), "y").ok);
+    if (lagger.checkpointer().last_generated().first <= cut_off_at) {
+      adopted = lagger.checkpointer().last_stable();
+    }
+  }
+  ASSERT_GT(adopted, cut_off_at);  // caught up by adoption, not by replay
+  auto [seq, digest] = lagger.checkpointer().last_generated();
+  ASSERT_GT(seq, adopted);
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto peer = sys.agreement(i).checkpointer().last_generated();
+    ASSERT_EQ(peer.first, seq);
+    EXPECT_EQ(to_hex(peer.second), to_hex(digest)) << "agreement replica " << i;
+  }
 }
 
 TEST(Recovery, RestartedBftBaselineReplicaCatchesUp) {

@@ -506,5 +506,71 @@ TEST(World, AllocatesDistinctIds) {
   EXPECT_NE(a, b);
 }
 
+Bytes state_bytes(std::size_t n, std::uint8_t salt = 0) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(i * 7 + salt);
+  return b;
+}
+
+TEST(World, InternedIdenticalStatesShareOneBufferAndOneDigest) {
+  World world{1};
+  Payload a = world.intern_state(state_bytes(4096));
+  Payload b = world.intern_state(state_bytes(4096));
+  Payload c = world.intern_state(state_bytes(4096));
+  EXPECT_TRUE(a.shares_buffer_with(b));
+  EXPECT_TRUE(a.shares_buffer_with(c));
+  EXPECT_EQ(world.interned_states(), 1u);
+
+  Sha256Digest expected = Sha256::hash(state_bytes(4096));
+  EXPECT_EQ(a.digest(), expected);
+  EXPECT_EQ(b.digest(), expected);
+  EXPECT_EQ(c.digest(), expected);
+  EXPECT_EQ(a.digest_computations(), 1u);
+}
+
+TEST(World, InternedStateDifferingInLastByteGetsItsOwnBuffer) {
+  World world{1};
+  Bytes base = state_bytes(4096);
+  Bytes tweaked = base;
+  tweaked.back() ^= 0x01;
+  Payload a = world.intern_state(base);
+  Payload b = world.intern_state(tweaked);
+  EXPECT_FALSE(a.shares_buffer_with(b));
+  EXPECT_EQ(b.to_bytes(), tweaked);
+  EXPECT_EQ(world.interned_states(), 2u);
+}
+
+TEST(World, InternTableDropsEntriesOnlyItHolds) {
+  World world{1};
+  {
+    Payload released = world.intern_state(state_bytes(256, 1));
+    (void)released.digest();
+    EXPECT_EQ(world.interned_states(), 1u);
+  }
+  // The only holder left is the table itself: the next intern drops it.
+  Payload kept = world.intern_state(state_bytes(256, 2));
+  EXPECT_EQ(world.interned_states(), 1u);
+  // A slice keeps its buffer alive, so the entry stays.
+  Payload slice = kept.slice(0, 16);
+  kept = Payload{};
+  Payload other = world.intern_state(state_bytes(256, 3));
+  EXPECT_EQ(world.interned_states(), 2u);
+  // Re-interning the released bytes makes a fresh buffer with a fresh memo.
+  Payload again = world.intern_state(state_bytes(256, 1));
+  EXPECT_EQ(again.digest_computations(), 0u);
+  EXPECT_EQ(again.to_bytes(), state_bytes(256, 1));
+}
+
+TEST(World, InternTablesArePerWorld) {
+  World w1{1};
+  World w2{1};
+  Payload a = w1.intern_state(state_bytes(1024));
+  Payload b = w2.intern_state(state_bytes(1024));
+  EXPECT_FALSE(a.shares_buffer_with(b));
+  EXPECT_EQ(a.to_bytes(), b.to_bytes());
+  (void)a.digest();
+  EXPECT_EQ(b.digest_computations(), 0u);
+}
+
 }  // namespace
 }  // namespace spider
