@@ -1,11 +1,11 @@
 // google-benchmark microbenchmarks for the crypto substrate (real wall
-// time, not simulated time): SHA-256, HMAC, bignum and RSA hot paths.
+// time, not simulated time): SHA-256, HMAC-SHA-256 and FastCrypto signing,
+// the hot paths of the one crypto engine. The modeled costs the simulation
+// charges come from CryptoCosts, not from these numbers.
 #include <benchmark/benchmark.h>
 
-#include "common/rng.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/provider.hpp"
-#include "crypto/rsa.hpp"
 
 namespace spider {
 namespace {
@@ -28,47 +28,6 @@ void BM_HmacSha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_HmacSha256)->Arg(200)->Arg(4096);
-
-void BM_BigIntMul(benchmark::State& state) {
-  Rng rng(1);
-  BigInt a = BigInt::random_bits(rng, static_cast<std::size_t>(state.range(0)));
-  BigInt b = BigInt::random_bits(rng, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigInt::mul(a, b));
-  }
-}
-BENCHMARK(BM_BigIntMul)->Arg(512)->Arg(1024)->Arg(2048);
-
-void BM_BigIntDivMod(benchmark::State& state) {
-  Rng rng(2);
-  BigInt a = BigInt::random_bits(rng, 2048);
-  BigInt b = BigInt::random_bits(rng, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigInt::divmod(a, b));
-  }
-}
-BENCHMARK(BM_BigIntDivMod)->Arg(512)->Arg(1024);
-
-void BM_RsaSign(benchmark::State& state) {
-  Rng rng(3);
-  RsaKeyPair kp = rsa_generate(rng, static_cast<std::size_t>(state.range(0)));
-  Bytes msg(200, 0x42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rsa_sign(kp.priv, msg));
-  }
-}
-BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
-
-void BM_RsaVerify(benchmark::State& state) {
-  Rng rng(4);
-  RsaKeyPair kp = rsa_generate(rng, static_cast<std::size_t>(state.range(0)));
-  Bytes msg(200, 0x42);
-  Bytes sig = rsa_sign(kp.priv, msg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rsa_verify(kp.pub, msg, sig));
-  }
-}
-BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 void BM_FastCryptoSign(benchmark::State& state) {
   FastCrypto fc(1);

@@ -61,12 +61,13 @@ Entry entry_at(const Bytes& page, std::size_t off) {
           BytesView(p, kEntryOverhead + klen + vlen)};
 }
 
-// Decodes `n` length-prefixed (key, value) pairs. Callers decode a whole
-// input before changing any state, so a truncated one leaves it untouched.
+// Decodes `n` length-prefixed (key, value) pairs; callers read `n` with
+// Reader::count(kEntryOverhead), so it is bounded by the input. Callers
+// decode a whole input before changing any state, so a truncated one
+// leaves it untouched.
 std::vector<Entry> read_entries(Reader& r, std::uint32_t n) {
   std::vector<Entry> out;
-  // Every entry takes at least its two length prefixes: never trust n alone.
-  out.reserve(std::min<std::size_t>(n, r.remaining() / kEntryOverhead));
+  out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint8_t* start = r.raw(0).data();
     std::string_view key = as_key(r.bytes_view());
@@ -330,7 +331,7 @@ Bytes KvStore::apply(BytesView op, Mode mode) {
       return make_reply(true, w.data());
     }
     case KvOp::MPut: {
-      std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(kEntryOverhead);
       if (!allow_mutation) return make_reply(false, {});
       // Atomic within this store: a truncated MPut throws before any write.
       for (const Entry& e : read_entries(r, n)) put(e.key, e.value);
@@ -366,7 +367,7 @@ Bytes KvStore::snapshot() const {
 void KvStore::restore(BytesView snapshot) {
   Reader r(snapshot);
   std::uint64_t version = r.u64();
-  std::vector<Entry> entries = read_entries(r, r.u32());
+  std::vector<Entry> entries = read_entries(r, r.count(kEntryOverhead));
   r.expect_done();
   // Our own snapshots are strictly ordered. Any other order is sorted here,
   // and of duplicate keys the later entry wins.
@@ -436,7 +437,7 @@ Bytes KvStore::extract_keys(const std::function<bool(std::string_view)>& moved) 
 
 void KvStore::absorb_keys(BytesView state) {
   Reader r(state);
-  std::vector<Entry> entries = read_entries(r, r.u32());
+  std::vector<Entry> entries = read_entries(r, r.count(kEntryOverhead));
   r.expect_done();
   for (const Entry& e : entries) put(e.key, e.value);
   ++version_;

@@ -5,13 +5,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 constexpr Duration kExecCost = 8;
 }  // namespace
 
@@ -40,9 +33,8 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
       Reader r(wire);
       ClientFrame frame = ClientFrame::decode(r);
       if (frame.req.kind == OpKind::WeakRead) return false;
-      charge_verify();
-      return crypto().verify(frame.req.client, tagged(tags::kClient, frame.req.encode()),
-                             frame.signature);
+      return verify_statement(frame.req.client, tags::kClient, frame.req.encode(),
+                              frame.signature);
     } catch (const SerdeError&) {
       return false;
     }
@@ -72,15 +64,11 @@ void BftReplica::on_message(NodeId from, BytesView data) {
 }
 
 void BftReplica::handle_client(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!crypto().verify_mac(from, id(), tagged(tags::kClient, body), mac)) return;
+  std::optional<BytesView> body = open(from, tags::kClient, r.raw(r.remaining()),
+                                      /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   ClientFrame frame = ClientFrame::decode(br);
   const ClientRequest& req = frame.req;
   if (req.client != from) return;
@@ -105,7 +93,7 @@ void BftReplica::handle_client(NodeId from, Reader& r) {
   }
   // Signature is re-checked in the consensus validator; ordering the raw
   // frame keeps the proposal identical across replicas.
-  pbft_->order(to_bytes(body));
+  pbft_->order(to_bytes(*body));
 }
 
 void BftReplica::on_deliver_batch(SeqNr first, const std::vector<Bytes>& batch) {
@@ -180,12 +168,7 @@ void BftReplica::reply_to(NodeId client, std::uint64_t counter, BytesView result
   Bytes out = to_bytes(result);
   if (corrupt_replies) corrupt_reply_payload(out);  // see sim/byzantine.hpp
   ReplyMsg reply{counter, std::move(out), weak};
-  Bytes body = reply.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), client, tagged(tags::kClient, body));
-  Bytes wire = std::move(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  send_to(client, tagged(tags::kClient, wire));
+  send_to(client, seal_mac(tags::kClient, client, reply.encode()));
 }
 
 Bytes BftReplica::snapshot_state() const {

@@ -9,15 +9,10 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 constexpr Duration kExecCost = 8;
+}  // namespace
 
+namespace hft {
 void write_cert(Writer& w, const std::vector<std::pair<NodeId, Bytes>>& sigs) {
   w.u32(static_cast<std::uint32_t>(sigs.size()));
   for (const auto& [node, sig] : sigs) {
@@ -27,7 +22,7 @@ void write_cert(Writer& w, const std::vector<std::pair<NodeId, Bytes>>& sigs) {
 }
 
 std::vector<std::pair<NodeId, Bytes>> read_cert(Reader& r) {
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4 + 4);  // node, signature length
   std::vector<std::pair<NodeId, Bytes>> sigs;
   sigs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -36,7 +31,7 @@ std::vector<std::pair<NodeId, Bytes>> read_cert(Reader& r) {
   }
   return sigs;
 }
-}  // namespace
+}  // namespace hft
 
 HftReplica::HftReplica(World& world, NodeId self, Site site, std::uint32_t site_id,
                        std::uint32_t index_in_site, const HftConfig& cfg,
@@ -57,15 +52,11 @@ void HftReplica::on_message(NodeId from, BytesView data) {
     }
     if (tag != tags::kHft) return;
 
-    BytesView all = r.raw(r.remaining());
-    std::size_t mac_len = crypto().mac_size();
-    if (all.size() <= mac_len) return;
-    BytesView body = all.subspan(0, all.size() - mac_len);
-    BytesView mac = all.subspan(all.size() - mac_len);
-    charge_mac();
-    if (!crypto().verify_mac(from, id(), tagged(tags::kHft, body), mac)) return;
+    std::optional<BytesView> body = open(from, tags::kHft, r.raw(r.remaining()),
+                                        /*is_sig=*/false);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     auto kind = static_cast<Kind>(br.u8());
     switch (kind) {
       case Kind::SignReq: handle_sign_req(from, br); break;
@@ -81,35 +72,18 @@ void HftReplica::on_message(NodeId from, BytesView data) {
   }
 }
 
-namespace {
-Bytes hft_frame(CryptoProvider& crypto, NodeId from, NodeId to, BytesView body) {
-  Writer dom;
-  dom.u32(tags::kHft);
-  dom.raw(body);
-  Bytes mac = crypto.mac(from, to, dom.data());
-  Bytes wire = to_bytes(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  Writer outer;
-  outer.u32(tags::kHft);
-  outer.raw(wire);
-  return std::move(outer).take();
-}
-}  // namespace
-
 bool HftReplica::verify_cert(std::uint32_t site, BytesView statement,
                              const std::vector<std::pair<NodeId, Bytes>>& sigs) {
   if (site >= sites_.size()) return false;
   if (sigs.size() < threshold()) return false;
   std::set<NodeId> seen;
   std::uint32_t valid = 0;
-  Bytes dom = tagged(tags::kHft, statement);
   for (const auto& [node, sig] : sigs) {
     if (seen.count(node)) continue;
     if (std::find(sites_[site].begin(), sites_[site].end(), node) == sites_[site].end()) {
       continue;
     }
-    charge_verify();
-    if (!crypto().verify(node, dom, sig)) continue;
+    if (!verify_statement(node, tags::kHft, statement, sig)) continue;
     seen.insert(node);
     ++valid;
   }
@@ -119,15 +93,11 @@ bool HftReplica::verify_cert(std::uint32_t site, BytesView statement,
 // ------------------------------------------------------------------ client
 
 void HftReplica::handle_client(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!crypto().verify_mac(from, id(), tagged(tags::kClient, body), mac)) return;
+  std::optional<BytesView> body = open(from, tags::kClient, r.raw(r.remaining()),
+                                      /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   ClientFrame frame = ClientFrame::decode(br);
   const ClientRequest& req = frame.req;
   if (req.client != from) return;
@@ -150,18 +120,17 @@ void HftReplica::handle_client(NodeId from, Reader& r) {
 
   if (!is_rep()) return;  // only the site representative initiates ordering
 
-  charge_verify();
-  if (!crypto().verify(req.client, tagged(tags::kClient, req.encode()), frame.signature)) return;
+  if (!verify_statement(req.client, tags::kClient, req.encode(), frame.signature)) return;
   last = req.counter;
 
   // Local round: threshold-certify <Update, site, h(frame)>.
-  charge_hash(body.size());
-  Sha256Digest h = hash_cached(body);
+  charge_hash(body->size());
+  Sha256Digest h = hash_cached(*body);
   Writer st;
   st.u8(static_cast<std::uint8_t>(Kind::Update));
   st.u32(site_id_);
   st.raw(BytesView(h.data(), h.size()));
-  start_local_round(std::move(st).take(), to_bytes(body));
+  start_local_round(std::move(st).take(), to_bytes(*body));
 }
 
 // ------------------------------------------------------- local threshold round
@@ -173,8 +142,7 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
   round.statement = statement;
   round.payload = payload;
 
-  charge_sign();
-  round.sigs[id()] = crypto().sign(id(), tagged(tags::kHft, statement));
+  round.sigs[id()] = sign_statement(tags::kHft, statement);
 
   Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::SignReq));
@@ -183,7 +151,7 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
   Bytes body = std::move(w).take();
   for (NodeId n : sites_[site_id_]) {
     if (n == id()) continue;
-    send_to(n, hft_frame(crypto(), id(), n, body));
+    send_to(n, mac_frame(tags::kHft, n, body));
   }
   if (round.sigs.size() >= threshold()) {
     round.completed = true;
@@ -204,9 +172,8 @@ void HftReplica::handle_sign_req(NodeId from, Reader& r) {
     try {
       Reader fr(payload);
       ClientFrame frame = ClientFrame::decode(fr);
-      charge_verify();
-      if (!crypto().verify(frame.req.client, tagged(tags::kClient, frame.req.encode()),
-                           frame.signature)) {
+      if (!verify_statement(frame.req.client, tags::kClient, frame.req.encode(),
+                            frame.signature)) {
         return;
       }
     } catch (const SerdeError&) {
@@ -214,14 +181,13 @@ void HftReplica::handle_sign_req(NodeId from, Reader& r) {
     }
   }
 
-  charge_sign();
-  Bytes sig = crypto().sign(id(), tagged(tags::kHft, statement));
+  Bytes sig = sign_statement(tags::kHft, statement);
   Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::Partial));
   w.bytes(statement);
   w.bytes(sig);
   Bytes body = std::move(w).take();
-  send_to(from, hft_frame(crypto(), id(), from, body));
+  send_to(from, mac_frame(tags::kHft, from, body));
 }
 
 void HftReplica::handle_partial(NodeId from, Reader& r) {
@@ -232,8 +198,7 @@ void HftReplica::handle_partial(NodeId from, Reader& r) {
   }
   Bytes statement = r.bytes();
   Bytes sig = r.bytes();
-  charge_verify();
-  if (!crypto().verify(from, tagged(tags::kHft, statement), sig)) return;
+  if (!verify_statement(from, tags::kHft, statement, sig)) return;
 
   std::uint64_t key = digest_prefix(Sha256::hash(statement));
   auto it = rounds_.find(key);
@@ -257,7 +222,7 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
     w.u8(static_cast<std::uint8_t>(Kind::Update));
     w.bytes(statement);
     w.bytes(payload);
-    write_cert(w, sigs);
+    hft::write_cert(w, sigs);
     Bytes body = std::move(w).take();
     NodeId leader_rep = sites_[leader_site_][0];
     if (leader_rep == id()) {
@@ -265,14 +230,14 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
       br.u8();
       handle_update(id(), br);
     } else {
-      send_to(leader_rep, hft_frame(crypto(), id(), leader_rep, body));
+      send_to(leader_rep, mac_frame(tags::kHft, leader_rep, body));
     }
   } else if (kind == Kind::Proposal) {
     Writer w;
     w.u8(static_cast<std::uint8_t>(Kind::Proposal));
     w.bytes(statement);
     w.bytes(payload);
-    write_cert(w, sigs);
+    hft::write_cert(w, sigs);
     Bytes body = std::move(w).take();
     for (std::uint32_t s = 0; s < sites_.size(); ++s) {
       NodeId rep = sites_[s][0];
@@ -281,14 +246,14 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
         br.u8();
         handle_proposal(id(), br);
       } else {
-        send_to(rep, hft_frame(crypto(), id(), rep, body));
+        send_to(rep, mac_frame(tags::kHft, rep, body));
       }
     }
   } else if (kind == Kind::Accept) {
     Writer w;
     w.u8(static_cast<std::uint8_t>(Kind::Accept));
     w.bytes(statement);
-    write_cert(w, sigs);
+    hft::write_cert(w, sigs);
     Bytes body = std::move(w).take();
     for (std::uint32_t s = 0; s < sites_.size(); ++s) {
       NodeId rep = sites_[s][0];
@@ -297,7 +262,7 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
         br.u8();
         handle_accept(id(), br);
       } else {
-        send_to(rep, hft_frame(crypto(), id(), rep, body));
+        send_to(rep, mac_frame(tags::kHft, rep, body));
       }
     }
   }
@@ -307,7 +272,7 @@ void HftReplica::handle_update(NodeId /*from*/, Reader& r) {
   if (id() != sites_[leader_site_][0]) return;  // leader-site representative only
   Bytes statement = r.bytes();
   Bytes frame = r.bytes();
-  std::vector<std::pair<NodeId, Bytes>> sigs = read_cert(r);
+  std::vector<std::pair<NodeId, Bytes>> sigs = hft::read_cert(r);
 
   Reader sr(statement);
   sr.u8();
@@ -333,7 +298,7 @@ void HftReplica::handle_proposal(NodeId /*from*/, Reader& r) {
   if (!is_rep()) return;
   Bytes statement = r.bytes();
   Bytes frame = r.bytes();
-  std::vector<std::pair<NodeId, Bytes>> sigs = read_cert(r);
+  std::vector<std::pair<NodeId, Bytes>> sigs = hft::read_cert(r);
   if (!verify_cert(leader_site_, statement, sigs)) return;
 
   Reader sr(statement);
@@ -362,7 +327,7 @@ void HftReplica::handle_proposal(NodeId /*from*/, Reader& r) {
 void HftReplica::handle_accept(NodeId /*from*/, Reader& r) {
   if (!is_rep()) return;
   Bytes statement = r.bytes();
-  std::vector<std::pair<NodeId, Bytes>> sigs = read_cert(r);
+  std::vector<std::pair<NodeId, Bytes>> sigs = hft::read_cert(r);
 
   Reader sr(statement);
   sr.u8();
@@ -393,7 +358,7 @@ void HftReplica::try_execute() {
     Bytes body = std::move(w).take();
     for (NodeId n : sites_[site_id_]) {
       if (n == id()) continue;
-      send_to(n, hft_frame(crypto(), id(), n, body));
+      send_to(n, mac_frame(tags::kHft, n, body));
     }
     Reader br(body);
     br.u8();
@@ -436,12 +401,7 @@ void HftReplica::handle_commit(NodeId from, Reader& r) {
 
 void HftReplica::reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak) {
   ReplyMsg reply{counter, to_bytes(result), weak};
-  Bytes body = reply.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), client, tagged(tags::kClient, body));
-  Bytes wire = std::move(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  send_to(client, tagged(tags::kClient, wire));
+  send_to(client, seal_mac(tags::kClient, client, reply.encode()));
 }
 
 // ------------------------------------------------------------------ system

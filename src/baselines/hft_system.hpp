@@ -45,6 +45,13 @@ struct HftConfig {
 
 class HftSystem;
 
+namespace hft {
+/// Site certificate wire form: u32 count, then (u32 node, bytes sig) per
+/// signer. read_cert throws SerdeError on a count the input cannot hold.
+void write_cert(Writer& w, const std::vector<std::pair<NodeId, Bytes>>& sigs);
+std::vector<std::pair<NodeId, Bytes>> read_cert(Reader& r);
+}  // namespace hft
+
 class HftReplica : public ComponentHost {
  public:
   HftReplica(World& world, NodeId self, Site site, std::uint32_t site_id,

@@ -67,6 +67,15 @@ BytesView Reader::raw(std::size_t n) {
   return v;
 }
 
+std::uint32_t Reader::count(std::size_t min_entry_bytes) {
+  const std::uint32_t n = u32();
+  if (static_cast<std::uint64_t>(n) * min_entry_bytes > remaining()) {
+    throw SerdeError("count " + std::to_string(n) + " exceeds remaining input (" +
+                     std::to_string(remaining()) + " bytes)");
+  }
+  return n;
+}
+
 void Reader::expect_done() const {
   if (!done()) throw SerdeError("trailing bytes after message");
 }

@@ -78,6 +78,11 @@ class Reader {
   std::string str();
   /// Raw bytes without prefix.
   BytesView raw(std::size_t n);
+  /// u32 element count of a container whose entries each encode to at
+  /// least `min_entry_bytes` (> 0). Throws SerdeError when that many
+  /// entries cannot fit in the remaining input, so a peer-supplied count
+  /// never sizes an allocation beyond the message that carried it.
+  std::uint32_t count(std::size_t min_entry_bytes);
 
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

@@ -13,6 +13,9 @@ Sha256Digest get_digest(Reader& r) {
   std::copy(v.begin(), v.end(), d.begin());
   return d;
 }
+
+// Smallest PreparedProof encoding: seq, view, request count.
+constexpr std::size_t kProofMinBytes = 8 + 8 + 4;
 }  // namespace
 
 Sha256Digest request_digest(BytesView request) { return Sha256::hash(request); }
@@ -46,10 +49,8 @@ PrePrepareMsg PrePrepareMsg::decode(Reader& r) {
   PrePrepareMsg m;
   m.view = r.u64();
   m.seq = r.u64();
-  std::uint32_t n = r.u32();
-  // Count fields are attacker-controlled: cap the reservation and let the
-  // bounds-checked element reads throw SerdeError on short bodies.
-  m.requests.reserve(std::min<std::uint32_t>(n, 1024));
+  const std::uint32_t n = r.count(4);  // length-prefixed requests
+  m.requests.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.requests.push_back(r.bytes());
   return m;
 }
@@ -84,8 +85,8 @@ PreparedProof PreparedProof::decode(Reader& r) {
   PreparedProof p;
   p.seq = r.u64();
   p.view = r.u64();
-  std::uint32_t n = r.u32();
-  p.requests.reserve(std::min<std::uint32_t>(n, 1024));
+  const std::uint32_t n = r.count(4);  // length-prefixed requests
+  p.requests.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) p.requests.push_back(r.bytes());
   return p;
 }
@@ -106,8 +107,8 @@ ViewChangeMsg ViewChangeMsg::decode(Reader& r) {
   m.new_view = r.u64();
   m.stable_floor = r.u64();
   m.replica = r.u32();
-  std::uint32_t n = r.u32();
-  m.prepared.reserve(std::min<std::uint32_t>(n, 1024));
+  const std::uint32_t n = r.count(kProofMinBytes);
+  m.prepared.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.prepared.push_back(PreparedProof::decode(r));
   return m;
 }
@@ -128,8 +129,8 @@ NewViewMsg NewViewMsg::decode(Reader& r) {
   m.new_view = r.u64();
   m.stable_floor = r.u64();
   m.replica = r.u32();
-  std::uint32_t n = r.u32();
-  m.proposals.reserve(std::min<std::uint32_t>(n, 1024));
+  const std::uint32_t n = r.count(kProofMinBytes);
+  m.proposals.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.proposals.push_back(PreparedProof::decode(r));
   return m;
 }

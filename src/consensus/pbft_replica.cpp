@@ -57,40 +57,19 @@ bool PbftReplica::instance_relevant(SeqNr s) const {
 void PbftReplica::broadcast(BytesView inner, bool sign) {
   if (mute) return;
   if (sign) {
-    host().charge_sign();
-    Bytes sig = crypto().sign(self(), auth_bytes(inner));
     // One signature, one serialization: every group member shares the frame.
-    Payload wire = wire_frame(inner, sig);
+    Payload wire = seal_signed(inner);
     for (std::uint32_t i = 0; i < cfg_.n(); ++i) {
-      if (i == cfg_.my_index) continue;
-      send_wire(cfg_.replicas[i], wire);
+      if (i != cfg_.my_index) send_wire(cfg_.replicas[i], wire);
     }
   } else {
-    // Per-pair MACs differ, but the domain-separated auth bytes are shared.
-    Bytes auth = auth_bytes(inner);
-    for (std::uint32_t i = 0; i < cfg_.n(); ++i) {
-      if (i == cfg_.my_index) continue;
-      host().charge_mac();
-      send_framed(cfg_.replicas[i], inner, crypto().mac(self(), cfg_.replicas[i], auth));
-    }
+    for (std::uint32_t i = 0; i < cfg_.n(); ++i) send_mac(i, inner);
   }
 }
 
-void PbftReplica::send_authed(std::uint32_t idx, BytesView inner) {
+void PbftReplica::send_mac(std::uint32_t idx, BytesView inner) {
   if (mute || idx == cfg_.my_index) return;
-  host().charge_mac();
-  Bytes tag_bytes = crypto().mac(self(), cfg_.replicas[idx], auth_bytes(inner));
-  send_framed(cfg_.replicas[idx], inner, tag_bytes);
-}
-
-bool PbftReplica::check_mac(NodeId from, BytesView inner, BytesView tag_bytes) {
-  host().charge_mac();
-  return host().check_auth_frame(from, tag(), inner, tag_bytes, /*is_sig=*/false);
-}
-
-bool PbftReplica::check_sig(NodeId from, BytesView inner, BytesView sig) {
-  host().charge_verify();
-  return host().check_auth_frame(from, tag(), inner, sig, /*is_sig=*/true);
+  send_wire(cfg_.replicas[idx], seal_mac(cfg_.replicas[idx], inner));
 }
 
 void PbftReplica::on_message(NodeId from, Reader& r) {
@@ -98,17 +77,13 @@ void PbftReplica::on_message(NodeId from, Reader& r) {
   BytesView all = r.raw(r.remaining());
   if (all.empty()) return;
   auto type = static_cast<MsgType>(all[0]);
-  const bool signed_msg = type == MsgType::ViewChange || type == MsgType::NewView;
-  const std::size_t auth_len = signed_msg ? crypto().signature_size() : crypto().mac_size();
-  if (all.size() <= auth_len) return;
-
-  BytesView body = all.subspan(0, all.size() - auth_len);
-  BytesView auth = all.subspan(all.size() - auth_len);
   std::optional<std::uint32_t> idx = index_of(from);
   if (!idx) return;  // not a group member
-  if (signed_msg ? !check_sig(from, body, auth) : !check_mac(from, body, auth)) return;
+  const bool signed_msg = type == MsgType::ViewChange || type == MsgType::NewView;
+  std::optional<BytesView> body = open(from, all, signed_msg);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   br.u8();  // type, already inspected
   switch (type) {
     case MsgType::PrePrepare: handle_preprepare(*idx, pbft::PrePrepareMsg::decode(br)); break;
@@ -256,7 +231,7 @@ void PbftReplica::propose(std::vector<Bytes> batch) {
     std::uint32_t others_seen = 0;
     for (std::uint32_t i = 0; i < cfg_.n(); ++i) {
       if (i == cfg_.my_index) continue;
-      send_authed(i, others_seen++ < (cfg_.n() - 1) / 2 ? real_enc : alt_enc);
+      send_mac(i, others_seen++ < (cfg_.n() - 1) / 2 ? real_enc : alt_enc);
     }
   } else {
     broadcast(m.encode(), /*sign=*/false);

@@ -143,10 +143,8 @@ class PbftReplica : public Component, public Agreement {
   [[nodiscard]] bool instance_relevant(SeqNr s) const;
 
   void broadcast(BytesView inner, bool sign);
-  /// MAC-authenticated unicast to one group member (equivocation splits).
-  void send_authed(std::uint32_t idx, BytesView inner);
-  bool check_mac(NodeId from, BytesView inner, BytesView tag_bytes);
-  bool check_sig(NodeId from, BytesView inner, BytesView sig);
+  /// MAC-authenticated unicast to one group member (no-op for self).
+  void send_mac(std::uint32_t idx, BytesView inner);
 
   void try_propose();
   void cut_batch();

@@ -5,56 +5,6 @@
 
 namespace spider {
 
-// ---------------------------------------------------------------- RealCrypto
-
-RealCrypto::RealCrypto(std::uint64_t seed, std::size_t key_bits)
-    : seed_(seed), key_bits_(key_bits) {}
-
-const RsaKeyPair& RealCrypto::keys(NodeId node) {
-  auto it = keypairs_.find(node);
-  if (it == keypairs_.end()) {
-    // Deterministic per-node key material.
-    Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (node + 1)));
-    it = keypairs_.emplace(node, rsa_generate(rng, key_bits_)).first;
-  }
-  return it->second;
-}
-
-const RsaPublicKey& RealCrypto::public_key(NodeId node) { return keys(node).pub; }
-
-Bytes RealCrypto::sign(NodeId signer, BytesView message) {
-  return rsa_sign(keys(signer).priv, message);
-}
-
-bool RealCrypto::verify(NodeId signer, BytesView message, BytesView signature) {
-  return rsa_verify(keys(signer).pub, message, signature);
-}
-
-Bytes RealCrypto::mac_key(NodeId a, NodeId b) const {
-  Writer w;
-  w.u64(seed_);
-  w.u32(std::min(a, b));
-  w.u32(std::max(a, b));
-  return sha256(w.data());
-}
-
-const HmacKey& RealCrypto::pair_hmac(NodeId a, NodeId b) {
-  std::uint64_t k = (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
-  auto it = pair_hmacs_.find(k);
-  if (it == pair_hmacs_.end()) {
-    it = pair_hmacs_.emplace(k, hmac_precompute(mac_key(a, b))).first;
-  }
-  return it->second;
-}
-
-Bytes RealCrypto::mac(NodeId from, NodeId to, BytesView message) {
-  return hmac_tag(pair_hmac(from, to), message);
-}
-
-bool RealCrypto::verify_mac(NodeId from, NodeId to, BytesView message, BytesView tag) {
-  return mac_equal(hmac_tag(pair_hmac(from, to), message), tag);
-}
-
 // ---------------------------------------------------------------- FastCrypto
 
 FastCrypto::FastCrypto(std::uint64_t seed) {

@@ -1,28 +1,28 @@
-// Crypto provider abstraction.
+// Crypto provider abstraction and its one engine.
 //
-// Protocol components authenticate messages through this interface, so the
-// same protocol code runs with
-//   - `RealCrypto`: actual RSA signatures + HMAC-SHA-256 (Byzantine tests
-//     genuinely reject forged messages), or
-//   - `FastCrypto`: HMAC-backed simulated signatures padded to RSA size
-//     (cheap enough for large-scale simulations; byte accounting matches).
+// Protocol code reaches the provider only through SimNode's authenticated-
+// frame operations (sim/node.hpp). `FastCrypto` stands in for the paper's
+// RSA-1024 signatures and HMAC-SHA-256 MACs: signatures are HMAC-SHA-256
+// tags under a per-signer key derived from one seeded master secret, padded
+// to 128 bytes so message sizes and network byte accounting match RSA-1024;
+// MACs are HMAC-SHA-256 truncated to 16 bytes under a per-pair key. Forged
+// or tampered frames are rejected, but the shared master secret offers no
+// security against an in-process adversary that reads it.
 //
-// The *simulated CPU cost* of each operation is taken from `CryptoCosts`
-// and charged by the simulation layer regardless of provider, so latency /
-// throughput results do not depend on which provider is active.
+// The *simulated CPU cost* of each operation comes from `CryptoCosts` (the
+// paper's RSA-1024/HMAC costs) and is charged by the simulation layer, not
+// measured, so latency and throughput results do not depend on how fast
+// the engine really is.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <unordered_map>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/rsa.hpp"
 
 namespace spider {
 
@@ -56,34 +56,6 @@ class CryptoProvider {
 
  private:
   CryptoCosts costs_;
-};
-
-/// Real RSA + HMAC provider. Keys are generated deterministically from the
-/// seed, lazily per node. `key_bits` defaults to 512 to keep test startup
-/// fast; use 1024 to match the paper byte-for-byte.
-class RealCrypto : public CryptoProvider {
- public:
-  explicit RealCrypto(std::uint64_t seed, std::size_t key_bits = 512);
-
-  Bytes sign(NodeId signer, BytesView message) override;
-  bool verify(NodeId signer, BytesView message, BytesView signature) override;
-  Bytes mac(NodeId from, NodeId to, BytesView message) override;
-  bool verify_mac(NodeId from, NodeId to, BytesView message, BytesView tag) override;
-  std::size_t signature_size() const override { return key_bits_ / 8; }
-
-  const RsaPublicKey& public_key(NodeId node);
-
- private:
-  const RsaKeyPair& keys(NodeId node);
-  Bytes mac_key(NodeId a, NodeId b) const;
-  const HmacKey& pair_hmac(NodeId a, NodeId b);
-
-  std::uint64_t seed_;
-  std::size_t key_bits_;
-  std::map<NodeId, RsaKeyPair> keypairs_;
-  // Key material is a pure function of (seed, pair); the precomputed HMAC
-  // midstates are cached so steady-state MACs skip re-deriving it.
-  std::unordered_map<std::uint64_t, HmacKey> pair_hmacs_;
 };
 
 /// HMAC-backed simulated signatures. All nodes share a master secret, so

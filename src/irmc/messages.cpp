@@ -11,6 +11,9 @@ Sha256Digest get_digest(Reader& r) {
   std::copy(v.begin(), v.end(), d.begin());
   return d;
 }
+
+// Smallest certificate share encoding: sender index, signature length.
+constexpr std::size_t kShareMinBytes = 4 + 4;
 }  // namespace
 
 Bytes SendMsg::encode() const {
@@ -91,7 +94,7 @@ CertificateMsg CertificateMsg::decode(Reader& r) {
   m.sc = r.u64();
   m.p = r.u64();
   m.payload = r.bytes();
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(kShareMinBytes);
   m.shares.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t idx = r.u32();
@@ -105,7 +108,7 @@ CertificateMsgView CertificateMsgView::decode(Reader& r) {
   m.sc = r.u64();
   m.p = r.u64();
   m.payload = r.bytes_view();
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(kShareMinBytes);
   m.shares.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t idx = r.u32();
@@ -127,7 +130,7 @@ Bytes ProgressMsg::encode() const {
 
 ProgressMsg ProgressMsg::decode(Reader& r) {
   ProgressMsg m;
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8 + 8);  // (sc, p)
   m.progress.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     Subchannel sc = r.u64();

@@ -81,11 +81,7 @@ RcSender::~RcSender() {
 void RcSender::send_move(Subchannel sc, Position p) {
   irmc::MoveMsg mv{sc, p};
   Bytes body = mv.encode();
-  Bytes auth = auth_bytes(body);  // shared by all per-receiver MACs
-  for (NodeId r : cfg_.receivers) {
-    host().charge_mac();
-    send_framed(r, body, crypto().mac(self(), r, auth));
-  }
+  for (NodeId r : cfg_.receivers) send_wire(r, seal_mac(r, body));
 }
 
 void RcSender::on_announce_timer() {
@@ -112,13 +108,11 @@ void RcSender::transmit(Subchannel sc, Sub& s, Position p, const Bytes& m) {
   }
   irmc::SendMsg msg{sc, p, m};
   Bytes body = msg.encode();
-  // One signature, shared by all receivers (paper A.8).
-  host().charge_sign();
   host().charge_hash(body.size());
-  Bytes sig = crypto().sign(self(), auth_bytes(body));
-  // Serialize the frame once; every receiver, retained retransmission copy
-  // and future replay shares this one buffer.
-  Payload wire = wire_frame(body, sig);
+  // One signature, shared by all receivers (paper A.8). Serialize the frame
+  // once; every receiver, retained retransmission copy and future replay
+  // shares this one buffer.
+  Payload wire = seal_signed(body);
   for (NodeId r : cfg_.receivers) send_wire(r, wire);
   // Every transmitted position lies in [lo, lo + capacity - 1], so the
   // ring slot is either free or holds this same position.
@@ -196,14 +190,10 @@ void RcSender::on_message(NodeId from, Reader& r) {
   if (type != MsgType::Move && type != MsgType::Nack) return;
   std::optional<std::uint32_t> idx = receiver_index(from);
   if (!idx) return;
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView tag = all.subspan(all.size() - mac_len);
-  host().charge_mac();
-  if (!host().check_auth_frame(from, Component::tag(), body, tag, /*is_sig=*/false)) return;
+  std::optional<BytesView> body = open(from, all, /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   br.u8();
   irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
   if (type == MsgType::Nack) {
@@ -228,10 +218,7 @@ void RcSender::on_message(NodeId from, Reader& r) {
     const Position lo = window_of(subs_, mv.sc);
     Position floor = lo;
     if (s && s->own_move) floor = std::max(floor, *s->own_move);
-    irmc::MoveMsg remv{mv.sc, floor};
-    Bytes rbody = remv.encode();
-    host().charge_mac();
-    send_framed(from, rbody, crypto().mac(self(), from, auth_bytes(rbody)));
+    send_wire(from, seal_mac(from, irmc::MoveMsg{mv.sc, floor}.encode()));
 
     if (!s) return;
     // Retained wires lie in [lo, lo + capacity - 1]: replay them in
@@ -288,12 +275,7 @@ void RcReceiver::on_nack_timer() {
     w.u8(static_cast<std::uint8_t>(MsgType::Nack));
     w.u64(nack.sc);
     w.u64(nack.p);
-    Bytes body = std::move(w).take();
-    Bytes auth = auth_bytes(body);
-    for (NodeId dst : cfg_.senders) {
-      host().charge_mac();
-      send_framed(dst, body, crypto().mac(self(), dst, auth));
-    }
+    for (NodeId dst : cfg_.senders) send_wire(dst, seal_mac(dst, w.data()));
   }
   if (still_pending) arm_nack_timer();
 }
@@ -364,11 +346,7 @@ void RcReceiver::internal_move(Subchannel sc, Sub& s, Position p) {
   // Tell the senders.
   irmc::MoveMsg mv{sc, p};
   Bytes body = mv.encode();
-  Bytes auth = auth_bytes(body);
-  for (NodeId dst : cfg_.senders) {
-    host().charge_mac();
-    send_framed(dst, body, crypto().mac(self(), dst, auth));
-  }
+  for (NodeId dst : cfg_.senders) send_wire(dst, seal_mac(dst, body));
 }
 
 void RcReceiver::try_deliver(Subchannel sc, Sub& s, Slot& slot) {
@@ -401,14 +379,10 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
 
   auto type = static_cast<MsgType>(all[0]);
   if (type == MsgType::Send) {
-    std::size_t sig_len = crypto().signature_size();
-    if (all.size() <= sig_len) return;
-    BytesView body = all.subspan(0, all.size() - sig_len);
-    BytesView sig = all.subspan(all.size() - sig_len);
-    host().charge_verify();
-    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/true);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     irmc::SendMsgView msg = irmc::SendMsgView::decode(br);
     note_subchannel(msg.sc);
@@ -439,14 +413,10 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
     }
     try_deliver(msg.sc, s, slot);
   } else if (type == MsgType::Move) {
-    std::size_t mac_len = crypto().mac_size();
-    if (all.size() <= mac_len) return;
-    BytesView body = all.subspan(0, all.size() - mac_len);
-    BytesView tag = all.subspan(all.size() - mac_len);
-    host().charge_mac();
-    if (!host().check_auth_frame(from, Component::tag(), body, tag, /*is_sig=*/false)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/false);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
     note_subchannel(mv.sc);
@@ -457,10 +427,7 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
       // on window state (e.g. a crash-recovered sender endpoint that lost
       // its view of the channel). Grant it our current window start so it
       // can flush sends queued behind the stale window.
-      irmc::MoveMsg grant{mv.sc, s.win.value_or(1)};
-      Bytes gbody = grant.encode();
-      host().charge_mac();
-      send_framed(from, gbody, crypto().mac(self(), from, auth_bytes(gbody)));
+      send_wire(from, seal_mac(from, irmc::MoveMsg{mv.sc, s.win.value_or(1)}.encode()));
     }
 
     if (s.smoves.empty()) s.smoves.resize(cfg_.ns());

@@ -39,11 +39,7 @@ ScSender::~ScSender() {
 void ScSender::send_move(Subchannel sc, Position p) {
   irmc::MoveMsg mv{sc, p};
   Bytes body = mv.encode();
-  Bytes auth = auth_bytes(body);  // shared by all per-receiver MACs
-  for (NodeId r : cfg_.receivers) {
-    host().charge_mac();
-    send_framed(r, body, crypto().mac(self(), r, auth));
-  }
+  for (NodeId r : cfg_.receivers) send_wire(r, seal_mac(r, body));
 }
 
 void ScSender::on_announce_timer() {
@@ -93,16 +89,14 @@ void ScSender::start_transmit(Subchannel sc, Position p, Bytes m) {
   Payload payload(std::move(m));
   host().charge_hash(payload.size());
   irmc::SigShareMsg share{sc, p, payload.digest()};
-  Bytes body = share.encode();
-  host().charge_sign();
-  Bytes sig = crypto().sign(self(), auth_bytes(body));
-
-  payloads_[sc][p] = std::move(payload);
-  shares_[sc][p].shares[my_index_] = {digest_prefix(share.digest), sig};
-
   // Distribute the share within the sender group (intra-region traffic):
   // one frame, shared by every group member.
-  Payload wire = wire_frame(body, sig);
+  Payload wire = seal_signed(share.encode());
+
+  payloads_[sc][p] = std::move(payload);
+  shares_[sc][p].shares[my_index_] = {digest_prefix(share.digest),
+                                      to_bytes(wire.view().last(crypto().signature_size()))};
+
   for (std::uint32_t i = 0; i < cfg_.ns(); ++i) {
     if (i == my_index_) continue;
     send_wire(cfg_.senders[i], wire);
@@ -129,12 +123,9 @@ void ScSender::try_certificate(Subchannel sc, Position p) {
   if (matching.size() < cfg_.fs + 1) return;
 
   irmc::CertificateMsg cert{sc, p, pit->second.to_bytes(), std::move(matching)};
-  Bytes body = cert.encode();
   // The collector signs the certificate (paper Fig. 19, L. 23 signs; we
   // follow the paper text: "sends it in a signed Certificate message").
-  host().charge_sign();
-  Bytes sig = crypto().sign(self(), auth_bytes(body));
-  certificates_[sc][p] = wire_frame(body, sig);
+  certificates_[sc][p] = seal_signed(cert.encode());
 
   for (std::uint32_t ri = 0; ri < cfg_.nr(); ++ri) {
     auto cit = collector_[sc].find(ri);
@@ -163,11 +154,7 @@ void ScSender::on_progress_timer() {
   }
   if (pm.progress.empty()) return;
   Bytes body = pm.encode();
-  Bytes auth = auth_bytes(body);
-  for (NodeId r : cfg_.receivers) {
-    host().charge_mac();
-    send_framed(r, body, crypto().mac(self(), r, auth));
-  }
+  for (NodeId r : cfg_.receivers) send_wire(r, seal_mac(r, body));
 }
 
 void ScSender::move_window(Subchannel sc, Position p) {
@@ -229,34 +216,26 @@ void ScSender::on_message(NodeId from, Reader& r) {
   if (type == MsgType::SigShare) {
     std::optional<std::uint32_t> idx = sender_index(from);
     if (!idx) return;
-    std::size_t sig_len = crypto().signature_size();
-    if (all.size() <= sig_len) return;
-    BytesView body = all.subspan(0, all.size() - sig_len);
-    BytesView sig = all.subspan(all.size() - sig_len);
-    host().charge_verify();
-    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/true);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     irmc::SigShareMsg share = irmc::SigShareMsg::decode(br);
     Position lo = win_lo(share.sc);
     if (share.p < lo || share.p > lo + 2 * cfg_.capacity - 1) return;
     auto& slot = shares_[share.sc][share.p].shares;
     if (!slot.count(*idx)) {
-      slot[*idx] = {digest_prefix(share.digest), to_bytes(sig)};
+      slot[*idx] = {digest_prefix(share.digest), to_bytes(all.subspan(body->size()))};
       try_certificate(share.sc, share.p);
     }
   } else if (type == MsgType::Move) {
     std::optional<std::uint32_t> idx = receiver_index(from);
     if (!idx) return;
-    std::size_t mac_len = crypto().mac_size();
-    if (all.size() <= mac_len) return;
-    BytesView body = all.subspan(0, all.size() - mac_len);
-    BytesView tag = all.subspan(all.size() - mac_len);
-    host().charge_mac();
-    if (!host().check_auth_frame(from, Component::tag(), body, tag, /*is_sig=*/false)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/false);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
     Position& cur = rwin_[{*idx, mv.sc}];
@@ -266,14 +245,10 @@ void ScSender::on_message(NodeId from, Reader& r) {
   } else if (type == MsgType::Select) {
     std::optional<std::uint32_t> idx = receiver_index(from);
     if (!idx) return;
-    std::size_t mac_len = crypto().mac_size();
-    if (all.size() <= mac_len) return;
-    BytesView body = all.subspan(0, all.size() - mac_len);
-    BytesView tag = all.subspan(all.size() - mac_len);
-    host().charge_mac();
-    if (!host().check_auth_frame(from, Component::tag(), body, tag, /*is_sig=*/false)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/false);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     irmc::SelectMsg sel = irmc::SelectMsg::decode(br);
     collector_[sel.sc][*idx] = sel.collector;
@@ -358,11 +333,7 @@ void ScReceiver::internal_move(Subchannel sc, Position p) {
 
   irmc::MoveMsg mv{sc, p};
   Bytes body = mv.encode();
-  Bytes auth = auth_bytes(body);
-  for (NodeId s : cfg_.senders) {
-    host().charge_mac();
-    send_framed(s, body, crypto().mac(self(), s, auth));
-  }
+  for (NodeId s : cfg_.senders) send_wire(s, seal_mac(s, body));
 }
 
 void ScReceiver::deliver_ready(Subchannel sc, Position p) {
@@ -407,11 +378,7 @@ void ScReceiver::on_gap_timer(Subchannel sc) {
   collector_[sc] = next;
   irmc::SelectMsg sel{sc, next};
   Bytes body = sel.encode();
-  Bytes auth = auth_bytes(body);
-  for (NodeId s : cfg_.senders) {
-    host().charge_mac();
-    send_framed(s, body, crypto().mac(self(), s, auth));
-  }
+  for (NodeId s : cfg_.senders) send_wire(s, seal_mac(s, body));
   arm_gap_timer(sc);
 }
 
@@ -423,14 +390,10 @@ void ScReceiver::on_message(NodeId from, Reader& r) {
   auto type = static_cast<MsgType>(all[0]);
 
   if (type == MsgType::Certificate) {
-    std::size_t sig_len = crypto().signature_size();
-    if (all.size() <= sig_len) return;
-    BytesView body = all.subspan(0, all.size() - sig_len);
-    BytesView sig = all.subspan(all.size() - sig_len);
-    host().charge_verify();
-    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/true);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     irmc::CertificateMsgView cert = irmc::CertificateMsgView::decode(br);
     note_subchannel(cert.sc);
@@ -443,12 +406,11 @@ void ScReceiver::on_message(NodeId from, Reader& r) {
     if (cert.shares.size() != cfg_.fs + 1) return;
     host().charge_hash(cert.payload.size());
     irmc::SigShareMsg expect{cert.sc, cert.p, host().hash_cached(cert.payload)};
-    Bytes share_auth = auth_bytes(expect.encode());
+    const Bytes share = expect.encode();
     std::set<std::uint32_t> seen;
     for (const auto& [sidx, ssig] : cert.shares) {
       if (sidx >= cfg_.ns() || seen.count(sidx)) return;
-      host().charge_verify();
-      if (!crypto().verify(cfg_.senders[sidx], share_auth, ssig)) return;
+      if (!host().verify_statement(cfg_.senders[sidx], Component::tag(), share, ssig)) return;
       seen.insert(sidx);
     }
 
@@ -462,14 +424,10 @@ void ScReceiver::on_message(NodeId from, Reader& r) {
       }
     }
   } else if (type == MsgType::Move || type == MsgType::Progress) {
-    std::size_t mac_len = crypto().mac_size();
-    if (all.size() <= mac_len) return;
-    BytesView body = all.subspan(0, all.size() - mac_len);
-    BytesView tag = all.subspan(all.size() - mac_len);
-    host().charge_mac();
-    if (!host().check_auth_frame(from, Component::tag(), body, tag, /*is_sig=*/false)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/false);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     if (type == MsgType::Move) {
       irmc::MoveMsg mv = irmc::MoveMsg::decode(br);

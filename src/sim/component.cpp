@@ -21,19 +21,11 @@ void ComponentHost::on_message(NodeId from, BytesView data) {
   }
 }
 
-Payload Component::wire_frame(BytesView body, BytesView auth) const {
-  Writer w(4 + body.size() + auth.size());
+Payload Component::wire_frame(BytesView body) const {
+  Writer w(4 + body.size());
   w.u32(tag_);
   w.raw(body);
-  w.raw(auth);
   return Payload(std::move(w));
-}
-
-Bytes Component::auth_bytes(BytesView inner) const {
-  Writer w(4 + inner.size());
-  w.u32(tag_);
-  w.raw(inner);
-  return std::move(w).take();
 }
 
 }  // namespace spider

@@ -70,22 +70,20 @@ class Component {
 
   void send(NodeId to, BytesView inner) { host_.send_component(tag_, to, inner); }
 
-  /// Builds the full wire frame [tag][body][auth] in one allocation. A
-  /// multicast builds the frame once and send_wire()s the same refcounted
-  /// buffer to every destination (bytes identical to send(to, body+auth)).
-  [[nodiscard]] Payload wire_frame(BytesView body, BytesView auth = {}) const;
+  /// Builds the unauthenticated wire frame [tag][body] once, for a
+  /// multicast that send_wire()s it to every destination.
+  [[nodiscard]] Payload wire_frame(BytesView body) const;
 
   /// Sends a pre-built wire frame (zero-copy: refcount bump per recipient).
-  void send_wire(NodeId to, const Payload& wire) { host_.send_to(to, wire); }
+  void send_wire(NodeId to, Payload wire) { host_.send_to(to, std::move(wire)); }
 
-  /// wire_frame + send_wire for single-destination MAC'd frames: one
-  /// allocation instead of body-copy + tag-wrap.
-  void send_framed(NodeId to, BytesView body, BytesView auth) {
-    host_.send_to(to, wire_frame(body, auth));
+  /// The host's authenticated-frame operations (SimNode), under this
+  /// component's tag.
+  Payload seal_mac(NodeId to, BytesView body) { return host_.seal_mac(tag_, to, body); }
+  Payload seal_signed(BytesView body) { return host_.seal_signed(tag_, body); }
+  std::optional<BytesView> open(NodeId from, BytesView rest, bool is_sig) {
+    return host_.open(from, tag_, rest, is_sig);
   }
-
-  /// Domain-separated bytes for signing/MACing: [tag][inner].
-  Bytes auth_bytes(BytesView inner) const;
 
   EventQueue::EventId set_timer(Duration delay, std::function<void()> fn) {
     return host_.set_timer(delay, std::move(fn));

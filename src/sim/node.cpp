@@ -52,6 +52,57 @@ Sha256Digest SimNode::hash_cached(BytesView sub) const {
   return Sha256::hash(sub);
 }
 
+Payload SimNode::seal_mac(std::uint32_t tag_word, NodeId to, BytesView body) {
+  charge_mac();
+  return mac_frame(tag_word, to, body);
+}
+
+Payload SimNode::mac_frame(std::uint32_t tag_word, NodeId to, BytesView body) {
+  Writer w(4 + body.size() + crypto().mac_size());
+  w.u32(tag_word);
+  w.raw(body);
+  const Bytes mac = crypto().mac(id_, to, w.data());
+  w.raw(mac);
+  return Payload(std::move(w));
+}
+
+Payload SimNode::seal_signed(std::uint32_t tag_word, BytesView body) {
+  charge_sign();
+  Writer w(4 + body.size() + crypto().signature_size());
+  w.u32(tag_word);
+  w.raw(body);
+  const Bytes sig = crypto().sign(id_, w.data());
+  w.raw(sig);
+  return Payload(std::move(w));
+}
+
+std::optional<BytesView> SimNode::open(NodeId from, std::uint32_t tag_word, BytesView rest,
+                                       bool is_sig) {
+  const std::size_t auth_len = is_sig ? crypto().signature_size() : crypto().mac_size();
+  if (rest.size() <= auth_len) return std::nullopt;
+  const BytesView body = rest.first(rest.size() - auth_len);
+  if (is_sig) {
+    charge_verify();
+  } else {
+    charge_mac();
+  }
+  if (!check_auth_frame(from, tag_word, body, rest.subspan(body.size()), is_sig)) {
+    return std::nullopt;
+  }
+  return body;
+}
+
+Bytes SimNode::sign_statement(std::uint32_t tag_word, BytesView statement) {
+  charge_sign();
+  return crypto().sign(id_, statement_bytes(tag_word, statement));
+}
+
+bool SimNode::verify_statement(NodeId signer, std::uint32_t tag_word, BytesView statement,
+                               BytesView sig) {
+  charge_verify();
+  return verify_auth(signer, statement_bytes(tag_word, statement), sig, /*is_sig=*/true);
+}
+
 bool SimNode::check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body,
                                BytesView auth, bool is_sig) {
   // Fast path precondition: body/auth are the standard trailer split of the
@@ -61,16 +112,19 @@ bool SimNode::check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView bo
   const Payload* frame = current_msg_;
   if (frame != nullptr && frame->size() == 4 + body.size() + auth.size() &&
       body.data() == frame->data() + 4 && auth.data() == body.data() + body.size()) {
-    const BytesView msg(frame->data(), 4 + body.size());
-    return is_sig ? crypto().verify(from, msg, auth)
-                  : crypto().verify_mac(from, id_, msg, auth);
+    return verify_auth(from, BytesView(frame->data(), 4 + body.size()), auth, is_sig);
   }
-  // Detached bytes (callers verifying re-encoded content): rebuild the
-  // domain-separated string exactly as the legacy call sites did.
+  return verify_auth(from, statement_bytes(tag_word, body), auth, is_sig);
+}
+
+Bytes SimNode::statement_bytes(std::uint32_t tag_word, BytesView body) {
   Writer w(4 + body.size());
   w.u32(tag_word);
   w.raw(body);
-  const Bytes msg = std::move(w).take();
+  return std::move(w).take();
+}
+
+bool SimNode::verify_auth(NodeId from, BytesView msg, BytesView auth, bool is_sig) {
   return is_sig ? crypto().verify(from, msg, auth) : crypto().verify_mac(from, id_, msg, auth);
 }
 

@@ -11,6 +11,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -93,16 +94,33 @@ class SimNode : public TransportEndpoint {
   /// call charge_hash() separately for the modeled CPU cost.
   [[nodiscard]] Sha256Digest hash_cached(BytesView sub) const;
 
-  /// Verifies an inbound frame's trailer: a signature by `from` (is_sig)
-  /// or a (from -> this) MAC, over the domain-separated bytes
-  /// [u32 tag_word][body]. Bit-identical to rebuilding those bytes and
-  /// calling crypto().verify / verify_mac — but when `body`/`auth` are the
-  /// standard slices of the message being handled ([tag][body][auth], the
-  /// layout every component's on_message produces), it verifies zero-copy
-  /// over the frame prefix instead of re-allocating.
-  /// Call charge_mac()/charge_verify() separately, as before.
-  bool check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body, BytesView auth,
-                        bool is_sig);
+  // ---- authenticated frames ---------------------------------------------
+  // Every authenticated wire frame is [u32 tag][body][auth]. `auth` is a
+  // signature by the sender or a (sender -> receiver) MAC, taken over the
+  // frame's own prefix [tag][body]. A signed statement (a client request,
+  // a checkpoint vote, an IRMC share, an HFT partial) is re-encoded by its
+  // verifier and signed over the same [tag][statement] layout. These five
+  // operations (plus the uncharged mac_frame below) are the only protocol
+  // path to the crypto provider; each charges its one modeled crypto cost
+  // before it computes.
+
+  /// MAC seal: charges one MAC; returns [tag][body][mac(self -> to)] in one
+  /// allocation.
+  Payload seal_mac(std::uint32_t tag_word, NodeId to, BytesView body);
+  /// Signed seal: charges one sign; returns [tag][body][sig(self)], one
+  /// buffer a multicast shares across all recipients.
+  Payload seal_signed(std::uint32_t tag_word, BytesView body);
+  /// Open: `rest` is an inbound frame after its tag, [body][auth]. Returns
+  /// the body when `auth` is `from`'s signature (is_sig) or its MAC to this
+  /// node; nothing otherwise. A frame no longer than its trailer is dropped
+  /// without a charge; any other pays one verify or MAC.
+  std::optional<BytesView> open(NodeId from, std::uint32_t tag_word, BytesView rest,
+                                bool is_sig);
+  /// Signs the statement [tag][statement] (charges one sign).
+  Bytes sign_statement(std::uint32_t tag_word, BytesView statement);
+  /// Verifies `signer`'s signature over [tag][statement] (charges one verify).
+  bool verify_statement(NodeId signer, std::uint32_t tag_word, BytesView statement,
+                        BytesView sig);
 
   /// Retains `sub` beyond the current handler: a zero-copy slice of the
   /// inbound message when `sub` points into it, an owned copy otherwise.
@@ -135,12 +153,28 @@ class SimNode : public TransportEndpoint {
   /// The world's tracer (nullptr when tracing is off — the null sink).
   [[nodiscard]] obs::Tracer* tracer() const;
 
+ protected:
+  /// The verdict behind open(), uncharged: a signature by `from` (is_sig)
+  /// or a (from -> this) MAC over [u32 tag_word][body]. When `body`/`auth`
+  /// are the standard trailer split of the message being handled it
+  /// verifies zero-copy over the frame prefix; otherwise (detached bytes)
+  /// it rebuilds [tag][body]. Both give the same verdict.
+  bool check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body, BytesView auth,
+                        bool is_sig);
+  /// seal_mac() without the modeled MAC charge. Only the HFT baseline's
+  /// replica-to-replica frames use it: that model never charged their
+  /// sender-side MACs, and its figures are pinned to that cost model.
+  Payload mac_frame(std::uint32_t tag_word, NodeId to, BytesView body);
+
  private:
   friend class SimNetwork;
   struct Task {
     std::function<void()> logic;
     Duration base_cost;
   };
+  /// [u32 tag_word][body], the bytes a detached statement is signed over.
+  static Bytes statement_bytes(std::uint32_t tag_word, BytesView body);
+  bool verify_auth(NodeId from, BytesView msg, BytesView auth, bool is_sig);
   void run_task(std::function<void()> logic, Duration base_cost);
   void enqueue_task(std::function<void()> logic, Duration base_cost);
   void schedule_drain(Time at);

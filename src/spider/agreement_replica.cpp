@@ -7,15 +7,6 @@
 
 namespace spider {
 
-namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-}  // namespace
-
 AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
     : ComponentHost(world, cfg.self == kInvalidNode ? world.allocate_id() : cfg.self, site),
       cfg_(std::move(cfg)) {
@@ -59,10 +50,8 @@ bool AgreementReplica::validate_request(BytesView wire) const {
     const ClientRequest& cr = req.frame.req;
     if (cr.kind == OpKind::WeakRead) return false;  // never ordered
     if (cr.kind == OpKind::Reconfig && cr.client != cfg_.admin) return false;
-    auto* self_mut = const_cast<AgreementReplica*>(this);
-    self_mut->charge_verify();
-    return self_mut->crypto().verify(cr.client, tagged(tags::kClient, cr.encode()),
-                                     req.frame.signature);
+    return const_cast<AgreementReplica*>(this)->verify_statement(
+        cr.client, tags::kClient, cr.encode(), req.frame.signature);
   } catch (const SerdeError&) {
     return false;
   }
@@ -445,12 +434,7 @@ void AgreementReplica::apply_byzantine(const ByzantineFlags& f) {
 }
 
 void AgreementReplica::handle_registry_query(NodeId from) {
-  Bytes body = registry_.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), from, tagged(tags::kRegistry, body));
-  Bytes wire = body;
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  send_to(from, tagged(tags::kRegistry, wire));
+  send_to(from, seal_mac(tags::kRegistry, from, registry_.encode()));
 }
 
 void AgreementReplica::on_message(NodeId from, BytesView data) {

@@ -48,11 +48,8 @@ void Checkpointer::gen_cp(SeqNr s, Bytes state) {
     tampered.push_back(0xbd);
     host().charge_hash(tampered.size());
     Sha256Digest h = Sha256::hash(tampered);
-    Bytes body = checkpoint_body(s, h);
-    host().charge_sign();
-    Bytes sig = crypto().sign(self(), auth_bytes(body));
-    Bytes vote = body;
-    vote.insert(vote.end(), sig.begin(), sig.end());
+    Payload vote_wire = seal_signed(checkpoint_body(s, h));
+    const BytesView sig = vote_wire.view().last(crypto().signature_size());
 
     // Forged certificate: a State message whose proof claims f+1 signers
     // but lists only this replica's signature, f+1 times over.
@@ -68,7 +65,6 @@ void Checkpointer::gen_cp(SeqNr s, Bytes state) {
     cert.bytes(tampered);
     cert.bytes(proof.data());
 
-    Payload vote_wire = wire_frame(vote);
     Payload cert_frame = wire_frame(cert.data());
     for (NodeId n : group_) {
       if (n == self()) continue;
@@ -89,14 +85,12 @@ void Checkpointer::gen_cp(SeqNr s, Bytes state) {
   own_snapshots_[s] = std::move(snapshot);
   last_generated_ = {s, h};
 
-  Bytes body = checkpoint_body(s, h);
-  host().charge_sign();
-  Bytes sig = crypto().sign(self(), auth_bytes(body));
-  candidates_[s][digest_prefix(h)].digest = h;
-  candidates_[s][digest_prefix(h)].sigs[self()] = sig;
-
   // One frame shared by the whole group.
-  Payload wire = wire_frame(body, sig);
+  Payload wire = seal_signed(checkpoint_body(s, h));
+  candidates_[s][digest_prefix(h)].digest = h;
+  candidates_[s][digest_prefix(h)].sigs[self()] =
+      to_bytes(wire.view().last(crypto().signature_size()));
+
   for (NodeId n : group_) {
     if (n != self()) send_wire(n, wire);
   }
@@ -231,8 +225,7 @@ void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
 
   host().charge_hash(state.size());
   Sha256Digest h = state.digest();
-  Bytes body = checkpoint_body(s, h);
-  Bytes signed_bytes = auth_bytes(body);
+  const Bytes body = checkpoint_body(s, h);
 
   Reader pr(proof);
   std::uint32_t count = pr.u32();
@@ -244,8 +237,7 @@ void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
     NodeId signer = pr.u32();
     BytesView sig = pr.bytes_view();
     if (seen.count(signer) || !trusted_(signer)) continue;
-    host().charge_verify();
-    if (!crypto().verify(signer, signed_bytes, sig)) continue;
+    if (!host().verify_statement(signer, tag(), body, sig)) continue;
     seen.insert(signer);
     ++valid;
   }
@@ -272,15 +264,11 @@ void Checkpointer::on_message(NodeId from, Reader& r) {
   auto type = static_cast<MsgType>(all[0]);
 
   if (type == MsgType::Checkpoint) {
-    std::size_t sig_len = crypto().signature_size();
-    if (all.size() <= sig_len) return;
     if (std::find(group_.begin(), group_.end(), from) == group_.end()) return;
-    BytesView body = all.subspan(0, all.size() - sig_len);
-    BytesView sig = all.subspan(all.size() - sig_len);
-    host().charge_verify();
-    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
+    std::optional<BytesView> body = open(from, all, /*is_sig=*/true);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     SeqNr s = br.u64();
     BytesView hv = br.raw(32);
@@ -289,7 +277,7 @@ void Checkpointer::on_message(NodeId from, Reader& r) {
     std::copy(hv.begin(), hv.end(), h.begin());
     Pending& p = candidates_[s][digest_prefix(h)];
     p.digest = h;
-    p.sigs[from] = to_bytes(sig);
+    p.sigs[from] = to_bytes(all.subspan(body->size()));
     check_stable(s);
   } else if (type == MsgType::Fetch) {
     // Only trusted replicas may pull state — and, below, make every group

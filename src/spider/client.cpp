@@ -8,13 +8,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 /// Returns the result that at least `quorum` replicas agree on, if any.
 const Bytes* matching_quorum(const std::map<NodeId, Bytes>& replies, std::uint32_t quorum) {
   for (const auto& [node, result] : replies) {
@@ -75,9 +68,7 @@ void SpiderClient::start_next() {
   OrderedOp& cur = queue_.front();
 
   ClientRequest req{cur.kind, id(), tc_, cur.op};
-  Bytes body = req.encode();
-  charge_sign();
-  Bytes sig = crypto().sign(id(), tagged(tags::kClient, body));
+  Bytes sig = sign_statement(tags::kClient, req.encode());
   current_wire_ = ClientFrame{std::move(req), std::move(sig)}.encode();
   replies_.clear();
   current_start_ = now();
@@ -121,15 +112,8 @@ void SpiderClient::arm_retry() {
 }
 
 void SpiderClient::transmit_framed(const Bytes& frame, TrafficClass cls) {
-  Bytes auth = tagged(tags::kClient, frame);  // shared across replicas
   for (NodeId replica : group_.members) {
-    charge_mac();
-    Bytes mac = crypto().mac(id(), replica, auth);
-    Writer w(4 + frame.size() + mac.size());
-    w.u32(tags::kClient);
-    w.raw(frame);
-    w.raw(mac);
-    send_to(replica, Payload(std::move(w)), cls);
+    send_to(replica, seal_mac(tags::kClient, replica, frame), cls);
   }
 }
 
@@ -263,15 +247,11 @@ void SpiderClient::handle_reply(NodeId from, Reader& r) {
   // Replies only count from members of the current group.
   if (std::find(group_.members.begin(), group_.members.end(), from) == group_.members.end()) return;
 
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!check_auth_frame(from, tags::kClient, body, mac, /*is_sig=*/false)) return;
+  std::optional<BytesView> body = open(from, tags::kClient, r.raw(r.remaining()),
+                                      /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   ReplyMsg reply = ReplyMsg::decode(br);
 
   if (reply.weak) {

@@ -8,13 +8,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 // Modeled CPU cost of executing one application operation.
 constexpr Duration kExecCost = 8;
 
@@ -100,15 +93,11 @@ void ExecutionReplica::on_message(NodeId from, BytesView data) {
 }
 
 void ExecutionReplica::handle_client(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!check_auth_frame(from, tags::kClient, body, mac, /*is_sig=*/false)) return;
+  std::optional<BytesView> body = open(from, tags::kClient, r.raw(r.remaining()),
+                                      /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   ClientFrame frame = ClientFrame::decode(br);
   const ClientRequest& req = frame.req;
   if (req.client != from) return;  // claimed identity must match the channel
@@ -150,8 +139,7 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
     // redundant transmission (reliable-link retransmission model).
   }
 
-  charge_verify();
-  if (!crypto().verify(req.client, tagged(tags::kClient, req.encode()), frame.signature)) return;
+  if (!verify_statement(req.client, tags::kClient, req.encode(), frame.signature)) return;
 
   last = req.counter;
   if (drop_forwarding) return;  // Byzantine: silently refuse to forward
@@ -357,15 +345,10 @@ void ExecutionReplica::reply_to(NodeId client, std::uint64_t counter, BytesView 
   // corruptors are the linearizability checker's canary).
   if (corrupt_replies) corrupt_reply_payload(out);
   ReplyMsg reply{counter, std::move(out), weak};
-  Bytes body = reply.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), client, tagged(tags::kClient, body));
-  Bytes wire = std::move(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
   // Weak (direct-path) replies are idempotent and client-retried, so they
   // ride the unordered datagram channel on the socket backend; ordered
   // replies stay on the reliable control channel.
-  send_to(client, tagged(tags::kClient, wire),
+  send_to(client, seal_mac(tags::kClient, client, reply.encode()),
           weak ? TrafficClass::kUnordered : TrafficClass::kOrdered);
 }
 

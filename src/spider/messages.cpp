@@ -1,8 +1,12 @@
 #include "spider/messages.hpp"
 
-#include <algorithm>
-
 namespace spider {
+
+namespace {
+// Smallest ExecuteMsg encoding: kind, seq, origin, client, counter,
+// op kind, op length.
+constexpr std::size_t kExecuteMinBytes = 1 + 8 + 4 + 4 + 8 + 1 + 4;
+}  // namespace
 
 Bytes ClientRequest::encode() const {
   Writer w(1 + 4 + 8 + 4 + op.size());
@@ -78,7 +82,7 @@ ExecuteMsg ExecuteMsg::decode(Reader& r) {
 
 Bytes ExecuteBatchMsg::encode() const {
   std::size_t hint = 4;
-  for (const ExecuteMsg& x : items) hint += 4 + 30 + x.op.size();
+  for (const ExecuteMsg& x : items) hint += 4 + kExecuteMinBytes + x.op.size();
   Writer w(hint);
   w.u32(static_cast<std::uint32_t>(items.size()));
   for (const ExecuteMsg& x : items) w.bytes(x.encode());
@@ -87,9 +91,9 @@ Bytes ExecuteBatchMsg::encode() const {
 
 ExecuteBatchMsg ExecuteBatchMsg::decode(Reader& r) {
   ExecuteBatchMsg m;
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4 + kExecuteMinBytes);
   if (n == 0) throw SerdeError("empty execute batch");
-  m.items.reserve(std::min<std::uint32_t>(n, 1024));
+  m.items.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     Reader xr(r.bytes_view());
     m.items.push_back(ExecuteMsg::decode(xr));
@@ -128,7 +132,7 @@ ReconfigCmd ReconfigCmd::decode(Reader& r) {
   m.add = r.boolean();
   m.group = r.u32();
   m.region = static_cast<Region>(r.u8());
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4);
   m.members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.members.push_back(r.u32());
   return m;
@@ -145,7 +149,7 @@ RegistryEntry RegistryEntry::decode(Reader& r) {
   RegistryEntry m;
   m.group = r.u32();
   m.region = static_cast<Region>(r.u8());
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4);
   m.members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.members.push_back(r.u32());
   return m;
@@ -162,7 +166,7 @@ Bytes RegistrySnapshot::encode() const {
 RegistrySnapshot RegistrySnapshot::decode(Reader& r) {
   RegistrySnapshot m;
   m.version = r.u64();
-  std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4 + 1 + 4);  // group, region, member count
   m.groups.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.groups.push_back(RegistryEntry::decode(r));
   return m;

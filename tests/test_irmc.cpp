@@ -542,6 +542,56 @@ TEST(IrmcSc, ForgedCertificateRejected) {
   EXPECT_FALSE(delivered);  // share for index 1 does not verify
 }
 
+TEST(IrmcSc, HostileCountsAreDroppedAndTheChannelKeepsDelivering) {
+  // An authenticated Byzantine sender frames a Certificate whose share
+  // count and a Progress whose entry count are 0xFFFFFFFF. The receiver
+  // must drop both (SerdeError, not an allocation failure escaping the
+  // host) and go on delivering genuine traffic.
+  ChannelFixture f(IrmcKind::SenderCollect);
+  ComponentHost& evil = *f.sender_hosts[0];
+  const std::uint32_t tag = f.cfg.channel_tag;
+  auto frame = [&](const Writer& body, BytesView auth) {
+    Writer fw;
+    fw.u32(tag);
+    fw.raw(body.data());
+    fw.raw(auth);
+    return std::move(fw).take();
+  };
+  auto signed_input = [&](const Writer& body) {
+    Writer aw;
+    aw.u32(tag);
+    aw.raw(body.data());
+    return std::move(aw).take();
+  };
+
+  Writer cert;
+  cert.u8(static_cast<std::uint8_t>(irmc::MsgType::Certificate));
+  cert.u64(1);  // sc
+  cert.u64(1);  // p
+  cert.bytes(f.msg(666));
+  cert.u32(0xFFFFFFFFu);
+  cert.u64(0);
+  const Bytes cert_sig = f.world.crypto().sign(evil.id(), signed_input(cert));
+
+  Writer progress;
+  progress.u8(static_cast<std::uint8_t>(irmc::MsgType::Progress));
+  progress.u32(0xFFFFFFFFu);
+  progress.u64(1);
+
+  for (NodeId r : f.cfg.receivers) {
+    evil.send_to(r, frame(cert, cert_sig));
+    evil.send_to(r, frame(progress, f.world.crypto().mac(evil.id(), r, signed_input(progress))));
+  }
+  f.world.run_for(kSecond);
+
+  Bytes got;
+  f.receivers[0]->receive(1, 1, [&](RecvResult res) { got = res.message.to_bytes(); });
+  const Bytes m = f.msg(1);
+  f.send_from_all(1, 1, m);
+  f.world.run_for(kSecond);
+  EXPECT_EQ(got, m);
+}
+
 TEST(IrmcSc, DuplicateShareIndexRejected) {
   // fs+1 shares that all carry one sender's valid signature under the same
   // index vouch for the content only once: the certificate is rejected.

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "app/kvstore.hpp"
+#include "baselines/hft_system.hpp"
 #include "common/hex.hpp"
 #include "common/serde.hpp"
+#include "consensus/pbft_messages.hpp"
+#include "irmc/messages.hpp"
+#include "spider/messages.hpp"
 
 namespace spider {
 namespace {
@@ -115,6 +120,178 @@ TEST(Serde, NestedMessages) {
   Reader ir(r.bytes_view());
   EXPECT_EQ(ir.u32(), 7u);
   EXPECT_EQ(ir.str(), "nested");
+}
+
+// ------------------------------------------------------- hostile counts
+//
+// A peer-supplied u32 count must never size an allocation: each decoder
+// reads it with Reader::count, which rejects a count the remaining input
+// cannot hold with SerdeError (the one exception the component host drops)
+// instead of letting reserve() throw std::bad_alloc past it.
+
+constexpr std::uint32_t kHostileCount = 0xFFFFFFFFu;
+
+/// `prefix` followed by a hostile count and a few trailing bytes.
+Bytes with_hostile_count(const Writer& prefix) {
+  Writer w;
+  w.raw(prefix.data());
+  w.u32(kHostileCount);
+  w.u64(0);
+  return std::move(w).take();
+}
+
+TEST(Serde, CountAcceptsExactFitAndRejectsOneMore) {
+  Writer w;
+  w.u32(2);
+  w.u64(1);
+  w.u64(2);
+  Reader ok(w.data());
+  EXPECT_EQ(ok.count(8), 2u);
+  EXPECT_EQ(ok.remaining(), 16u);
+  Reader tight(w.data());
+  EXPECT_THROW(tight.count(9), SerdeError);
+}
+
+TEST(HostileCount, CertificateMsgThrowsSerdeError) {
+  Writer w;
+  w.u64(1);  // sc
+  w.u64(1);  // p
+  w.bytes(Bytes{1, 2, 3});
+  const Bytes wire = with_hostile_count(w);
+  Reader r(wire);
+  EXPECT_THROW(irmc::CertificateMsg::decode(r), SerdeError);
+}
+
+TEST(HostileCount, CertificateMsgViewThrowsSerdeError) {
+  Writer w;
+  w.u64(1);
+  w.u64(1);
+  w.bytes(Bytes{1, 2, 3});
+  const Bytes wire = with_hostile_count(w);
+  Reader r(wire);
+  EXPECT_THROW(irmc::CertificateMsgView::decode(r), SerdeError);
+}
+
+TEST(HostileCount, ProgressMsgThrowsSerdeError) {
+  const Bytes wire = with_hostile_count(Writer{});
+  Reader r(wire);
+  EXPECT_THROW(irmc::ProgressMsg::decode(r), SerdeError);
+}
+
+TEST(HostileCount, ReconfigCmdThrowsSerdeError) {
+  Writer w;
+  w.boolean(true);
+  w.u32(7);  // group
+  w.u8(0);   // region
+  const Bytes wire = with_hostile_count(w);
+  Reader r(wire);
+  EXPECT_THROW(ReconfigCmd::decode(r), SerdeError);
+}
+
+TEST(HostileCount, RegistryEntryThrowsSerdeError) {
+  Writer w;
+  w.u32(7);
+  w.u8(0);
+  const Bytes wire = with_hostile_count(w);
+  Reader r(wire);
+  EXPECT_THROW(RegistryEntry::decode(r), SerdeError);
+}
+
+TEST(HostileCount, RegistrySnapshotThrowsSerdeError) {
+  Writer w;
+  w.u64(3);  // version
+  const Bytes wire = with_hostile_count(w);
+  Reader r(wire);
+  EXPECT_THROW(RegistrySnapshot::decode(r), SerdeError);
+}
+
+TEST(HostileCount, HftCertificateThrowsSerdeError) {
+  const Bytes wire = with_hostile_count(Writer{});
+  Reader r(wire);
+  EXPECT_THROW(hft::read_cert(r), SerdeError);
+}
+
+TEST(HostileCount, PbftMessagesThrowSerdeError) {
+  Writer vs;  // view/new_view, seq/stable_floor
+  vs.u64(1);
+  vs.u64(1);
+  const Bytes preprepare = with_hostile_count(vs);
+  Reader pp(preprepare);
+  EXPECT_THROW(pbft::PrePrepareMsg::decode(pp), SerdeError);
+
+  vs.u32(0);  // replica
+  const Bytes change = with_hostile_count(vs);
+  Reader vc(change);
+  EXPECT_THROW(pbft::ViewChangeMsg::decode(vc), SerdeError);
+  Reader nv(change);
+  EXPECT_THROW(pbft::NewViewMsg::decode(nv), SerdeError);
+
+  // A proof inside a view change whose own request count is hostile.
+  Writer proof;
+  proof.u64(2);  // new_view
+  proof.u64(0);  // stable_floor
+  proof.u32(0);  // replica
+  proof.u32(1);  // one proof
+  proof.u64(1);  // its seq
+  proof.u64(0);  // its view
+  const Bytes nested = with_hostile_count(proof);
+  Reader np(nested);
+  EXPECT_THROW(pbft::ViewChangeMsg::decode(np), SerdeError);
+}
+
+TEST(HostileCount, ExecuteBatchThrowsSerdeError) {
+  const Bytes wire = with_hostile_count(Writer{});
+  Reader r(wire);
+  EXPECT_THROW(ExecuteBatchMsg::decode(r), SerdeError);
+}
+
+TEST(HostileCount, KvSnapshotRestoreThrowsSerdeError) {
+  Writer w;
+  w.u64(1);  // version
+  const Bytes snapshot = with_hostile_count(w);
+  KvStore kv;
+  EXPECT_THROW(kv.restore(snapshot), SerdeError);
+  EXPECT_THROW(kv.absorb_keys(BytesView(snapshot).subspan(8)), SerdeError);
+}
+
+// The minimum entry sizes are exact: a message whose entries all have the
+// smallest encoding fills its input to the byte and still decodes.
+TEST(HostileCount, SmallestEntriesStillDecode) {
+  irmc::CertificateMsg cert{1, 2, {}, {{0, {}}, {1, {}}}};
+  const Bytes cert_wire = cert.encode();
+  Reader cr(BytesView(cert_wire).subspan(1));
+  EXPECT_EQ(irmc::CertificateMsg::decode(cr).shares.size(), 2u);
+  Reader cvr(BytesView(cert_wire).subspan(1));
+  EXPECT_EQ(irmc::CertificateMsgView::decode(cvr).shares.size(), 2u);
+
+  irmc::ProgressMsg progress{{{1, 2}, {3, 4}}};
+  const Bytes progress_wire = progress.encode();
+  Reader pr(BytesView(progress_wire).subspan(1));
+  EXPECT_EQ(irmc::ProgressMsg::decode(pr).progress.size(), 2u);
+
+  RegistrySnapshot reg{5, {RegistryEntry{1, Region::Virginia, {}},
+                           RegistryEntry{2, Region::Tokyo, {}}}};
+  const Bytes reg_wire = reg.encode();
+  Reader rr(reg_wire);
+  EXPECT_EQ(RegistrySnapshot::decode(rr).groups.size(), 2u);
+
+  pbft::ViewChangeMsg vc{2, 0, 1, {pbft::PreparedProof{1, 0, {}}, pbft::PreparedProof{2, 0, {}}}};
+  const Bytes vc_wire = vc.encode();
+  Reader vr(BytesView(vc_wire).subspan(1));
+  EXPECT_EQ(pbft::ViewChangeMsg::decode(vr).prepared.size(), 2u);
+
+  ExecuteBatchMsg batch;
+  batch.items.push_back(ExecuteMsg{});
+  batch.items.push_back(ExecuteMsg{});
+  const Bytes batch_wire = batch.encode();
+  Reader br(batch_wire);
+  EXPECT_EQ(ExecuteBatchMsg::decode(br).items.size(), 2u);
+
+  std::vector<std::pair<NodeId, Bytes>> sigs{{1, {}}, {2, {}}};
+  Writer hw;
+  hft::write_cert(hw, sigs);
+  Reader hr(hw.data());
+  EXPECT_EQ(hft::read_cert(hr).size(), 2u);
 }
 
 TEST(Hex, RoundTrip) {

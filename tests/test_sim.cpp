@@ -7,6 +7,7 @@
 #include "sim/component.hpp"
 #include "sim/node.hpp"
 #include "sim/world.hpp"
+#include "spider/messages.hpp"
 
 namespace spider {
 namespace {
@@ -412,21 +413,28 @@ TEST(SimNode, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-/// Splits each inbound frame [u32 tag][body][auth] and verifies the trailer
-/// twice through check_auth_frame: once over slices of the inbound buffer
-/// (the zero-copy frame-prefix path) and once over detached copies (the
-/// rebuild path).
+/// Opens each inbound frame [u32 tag][body][auth] through SimNode::open,
+/// recording the verdict and the crypto charge it paid. Frames longer than
+/// their trailer are also verified twice through check_auth_frame: once
+/// over slices of the inbound buffer (the zero-copy frame-prefix path) and
+/// once over detached copies (the rebuild path).
 class AuthProbeNode : public SimNode {
  public:
   using SimNode::SimNode;
 
   void on_message(NodeId from, BytesView data) override {
-    const std::size_t auth_len = is_sig ? crypto().signature_size() : crypto().mac_size();
-    ASSERT_GT(data.size(), 4 + auth_len);
+    ASSERT_GE(data.size(), 4u);
     Reader r(data);
     const std::uint32_t tag_word = r.u32();
-    BytesView body = data.subspan(4, data.size() - 4 - auth_len);
-    BytesView auth = data.subspan(data.size() - auth_len);
+    const BytesView rest = data.subspan(4);
+    const Duration before = busy_in(CpuCat::kCrypto);
+    opened.push_back(open(from, tag_word, rest, is_sig).has_value());
+    open_charge.push_back(busy_in(CpuCat::kCrypto) - before);
+
+    const std::size_t auth_len = is_sig ? crypto().signature_size() : crypto().mac_size();
+    if (rest.size() <= auth_len) return;
+    BytesView body = rest.first(rest.size() - auth_len);
+    BytesView auth = rest.subspan(body.size());
     ASSERT_NE(current_message(), nullptr);
     ASSERT_EQ(body.data(), current_message()->data() + 4);
     in_place.push_back(check_auth_frame(from, tag_word, body, auth, is_sig));
@@ -436,67 +444,144 @@ class AuthProbeNode : public SimNode {
   }
 
   bool is_sig = false;
+  std::vector<bool> opened;
+  std::vector<Duration> open_charge;
   std::vector<bool> in_place;
   std::vector<bool> detached;
 };
 
-/// Sends one authenticated frame to a probe node and returns its
-/// (in-place, detached) verdicts. `flip` corrupts one trailer byte: 1 the
-/// first, -1 the last, 0 none.
-std::pair<std::vector<bool>, std::vector<bool>> auth_frame_verdicts(
-    std::unique_ptr<CryptoProvider> crypto, bool is_sig, int flip) {
-  World world(5, std::move(crypto));
+constexpr std::uint32_t kProbeTag = tags::kIrmc | 5u;
+
+Bytes probe_body() { return to_bytes(std::string("authenticated body")); }
+
+/// [tag][body] followed by `auth`, built by hand.
+Bytes hand_frame(BytesView prefix, BytesView auth) {
+  Writer w;
+  w.raw(prefix);
+  w.raw(auth);
+  return std::move(w).take();
+}
+
+/// What the probe saw for one frame.
+struct ProbeVerdicts {
+  std::vector<bool> opened;
+  std::vector<Duration> open_charge;
+  std::vector<bool> in_place;
+  std::vector<bool> detached;
+  Duration mac_cost = 0;
+  Duration verify_cost = 0;
+};
+
+/// Sends one authenticated frame to a probe node and returns its verdicts.
+/// `flip` corrupts one trailer byte: 1 the first, -1 the last, 0 none.
+/// `truncate` instead sends [tag] plus only the first trailer-length bytes
+/// of [body][auth], a frame no longer than its trailer.
+ProbeVerdicts auth_frame_verdicts(bool is_sig, int flip, bool truncate = false) {
+  World world(5);
   EchoNode sender(world, world.allocate_id(), Site{Region::Virginia, 0});
   AuthProbeNode probe(world, world.allocate_id(), Site{Region::Virginia, 1});
   probe.is_sig = is_sig;
 
   Writer prefix;
-  prefix.u32(tags::kIrmc | 5u);
-  prefix.raw(to_bytes(std::string("authenticated body")));
+  prefix.u32(kProbeTag);
+  prefix.raw(probe_body());
   Bytes auth = is_sig ? world.crypto().sign(sender.id(), prefix.data())
                       : world.crypto().mac(sender.id(), probe.id(), prefix.data());
   if (flip > 0) auth.front() ^= 0x01;
   if (flip < 0) auth.back() ^= 0x01;
-  Writer frame;
-  frame.raw(prefix.data());
-  frame.raw(auth);
-  sender.send_to(probe.id(), std::move(frame).take());
+  Bytes frame = hand_frame(prefix.data(), auth);
+  if (truncate) frame.resize(4 + auth.size());
+  sender.send_to(probe.id(), std::move(frame));
   world.run_for(10 * kMillisecond);
-  return {probe.in_place, probe.detached};
-}
-
-std::unique_ptr<CryptoProvider> make_provider(bool real) {
-  if (real) return std::make_unique<RealCrypto>(5);
-  return std::make_unique<FastCrypto>(5);
+  return {probe.opened, probe.open_charge, probe.in_place, probe.detached,
+          world.crypto().costs().mac, world.crypto().costs().verify};
 }
 
 TEST(SimNode, CheckAuthFrameZeroCopyMatchesDetached) {
-  for (bool real : {false, true}) {
-    for (bool is_sig : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "real=" << real << " is_sig=" << is_sig);
-      auto [in_place, detached] = auth_frame_verdicts(make_provider(real), is_sig, 0);
-      ASSERT_EQ(in_place.size(), 1u);
-      ASSERT_EQ(detached.size(), 1u);
-      EXPECT_TRUE(in_place[0]);
-      EXPECT_TRUE(detached[0]);
-    }
+  for (bool is_sig : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "is_sig=" << is_sig);
+    ProbeVerdicts v = auth_frame_verdicts(is_sig, 0);
+    ASSERT_EQ(v.in_place.size(), 1u);
+    ASSERT_EQ(v.detached.size(), 1u);
+    EXPECT_TRUE(v.in_place[0]);
+    EXPECT_TRUE(v.detached[0]);
+    ASSERT_EQ(v.opened.size(), 1u);
+    EXPECT_TRUE(v.opened[0]);
+    EXPECT_EQ(v.open_charge[0], is_sig ? v.verify_cost : v.mac_cost);
   }
 }
 
 TEST(SimNode, CheckAuthFrameRejectsFlippedTrailerByte) {
-  for (bool real : {false, true}) {
-    for (bool is_sig : {false, true}) {
-      for (int flip : {1, -1}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "real=" << real << " is_sig=" << is_sig << " flip=" << flip);
-        auto [in_place, detached] = auth_frame_verdicts(make_provider(real), is_sig, flip);
-        ASSERT_EQ(in_place.size(), 1u);
-        ASSERT_EQ(detached.size(), 1u);
-        EXPECT_FALSE(in_place[0]);
-        EXPECT_FALSE(detached[0]);
-      }
+  for (bool is_sig : {false, true}) {
+    for (int flip : {1, -1}) {
+      SCOPED_TRACE(::testing::Message() << "is_sig=" << is_sig << " flip=" << flip);
+      ProbeVerdicts v = auth_frame_verdicts(is_sig, flip);
+      ASSERT_EQ(v.in_place.size(), 1u);
+      ASSERT_EQ(v.detached.size(), 1u);
+      EXPECT_FALSE(v.in_place[0]);
+      EXPECT_FALSE(v.detached[0]);
+      // open() rejects it too, after exactly one MAC or verify charge.
+      ASSERT_EQ(v.opened.size(), 1u);
+      EXPECT_FALSE(v.opened[0]);
+      EXPECT_EQ(v.open_charge[0], is_sig ? v.verify_cost : v.mac_cost);
     }
   }
+}
+
+TEST(SimNode, OpenDropsFrameNoLongerThanTrailerWithoutCharge) {
+  for (bool is_sig : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "is_sig=" << is_sig);
+    ProbeVerdicts v = auth_frame_verdicts(is_sig, 0, /*truncate=*/true);
+    ASSERT_EQ(v.opened.size(), 1u);
+    EXPECT_FALSE(v.opened[0]);
+    EXPECT_EQ(v.open_charge[0], 0);
+    EXPECT_TRUE(v.in_place.empty());
+  }
+}
+
+TEST(SimNode, SealedFramesMatchHandBuiltFrames) {
+  World world(5);
+  EchoNode a(world, world.allocate_id(), Site{Region::Virginia, 0});
+  EchoNode b(world, world.allocate_id(), Site{Region::Virginia, 1});
+  Writer prefix;
+  prefix.u32(kProbeTag);
+  prefix.raw(probe_body());
+  const CryptoCosts& c = world.crypto().costs();
+
+  Duration before = a.busy_in(CpuCat::kCrypto);
+  Payload mac_frame = a.seal_mac(kProbeTag, b.id(), probe_body());
+  EXPECT_EQ(a.busy_in(CpuCat::kCrypto) - before, c.mac);
+  EXPECT_EQ(mac_frame.to_bytes(),
+            hand_frame(prefix.data(), world.crypto().mac(a.id(), b.id(), prefix.data())));
+
+  before = a.busy_in(CpuCat::kCrypto);
+  Payload sig_frame = a.seal_signed(kProbeTag, probe_body());
+  EXPECT_EQ(a.busy_in(CpuCat::kCrypto) - before, c.sign);
+  EXPECT_EQ(sig_frame.to_bytes(),
+            hand_frame(prefix.data(), world.crypto().sign(a.id(), prefix.data())));
+}
+
+TEST(SimNode, VerifyStatementChecksReencodedClientRequest) {
+  World world(5);
+  EchoNode client(world, world.allocate_id(), Site{Region::Virginia, 0});
+  EchoNode replica(world, world.allocate_id(), Site{Region::Virginia, 1});
+  const ClientRequest req{OpKind::Write, client.id(), 7, to_bytes(std::string("put k v"))};
+  const Bytes sig = client.sign_statement(tags::kClient, req.encode());
+  const Duration verify = world.crypto().costs().verify;
+
+  // The verifier re-encodes the request it decoded, as every replica does.
+  Duration before = replica.busy_in(CpuCat::kCrypto);
+  EXPECT_TRUE(replica.verify_statement(client.id(), tags::kClient, req.encode(), sig));
+  EXPECT_EQ(replica.busy_in(CpuCat::kCrypto) - before, verify);
+
+  Bytes tampered = req.encode();
+  tampered.back() ^= 0x01;
+  before = replica.busy_in(CpuCat::kCrypto);
+  EXPECT_FALSE(replica.verify_statement(client.id(), tags::kClient, tampered, sig));
+  EXPECT_EQ(replica.busy_in(CpuCat::kCrypto) - before, verify);
+  // Bound to its tag and its signer, too.
+  EXPECT_FALSE(replica.verify_statement(client.id(), tags::kRegistry, req.encode(), sig));
+  EXPECT_FALSE(replica.verify_statement(replica.id(), tags::kClient, req.encode(), sig));
 }
 
 TEST(World, AllocatesDistinctIds) {
