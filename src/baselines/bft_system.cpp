@@ -154,8 +154,15 @@ void BftReplica::execute_one(const Bytes& request) {
     }
     last = std::max(last, req.counter);
     charge(kExecCost);
-    Bytes result = req.kind == OpKind::StrongRead ? app_->execute_readonly(req.op)
-                                                  : app_->execute(req.op);
+    Bytes result;
+    try {
+      result = req.kind == OpKind::StrongRead ? app_->execute_readonly(req.op)
+                                              : app_->execute(req.op);
+    } catch (const SerdeError&) {
+      // Applications decode an op fully before mutating, so a rejected op
+      // left the state untouched.
+      result = rejected_op_reply();
+    }
     e.counter = req.counter;
     e.result = std::move(result);
     reply_to(req.client, req.counter, e.result, false);
@@ -295,10 +302,7 @@ bool BftSystem::is_crashed(NodeId id) const {
 }
 
 ClientGroupInfo BftSystem::client_info() const {
-  ClientGroupInfo info{0, replica_ids(), cfg_.f};
-  info.direct_strong_reads = true;
-  info.strong_quorum = 2 * cfg_.f + 1;
-  return info;
+  return ClientGroupInfo{0, replica_ids(), cfg_.f, 2 * cfg_.f + 1};
 }
 
 std::unique_ptr<SpiderClient> BftSystem::make_client(Site site, Duration retry) {

@@ -385,8 +385,15 @@ void HftReplica::handle_commit(NodeId from, Reader& r) {
       auto& cached = replies_[req.client];
       if (req.counter > cached.first) {
         charge(kExecCost);
-        Bytes result = req.kind == OpKind::StrongRead ? app_->execute_readonly(req.op)
-                                                      : app_->execute(req.op);
+        Bytes result;
+        try {
+          result = req.kind == OpKind::StrongRead ? app_->execute_readonly(req.op)
+                                                  : app_->execute(req.op);
+        } catch (const SerdeError&) {
+          // Applications decode an op fully before mutating, so a rejected
+          // op left the state untouched.
+          result = rejected_op_reply();
+        }
         cached = {req.counter, std::move(result)};
         t_[req.client] = std::max(t_[req.client], req.counter);
         if (it->second.second == site_id_) {

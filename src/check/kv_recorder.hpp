@@ -25,17 +25,6 @@ HistoryRecorder::OpId recorded_put(HistoryRecorder& h, Client& c, std::uint64_t 
 }
 
 template <class Client>
-HistoryRecorder::OpId recorded_del(HistoryRecorder& h, Client& c, std::uint64_t client_id,
-                                   const std::string& key) {
-  HistoryRecorder::OpId id = h.invoke(client_id, HistOp::Del, key);
-  c.write(kv_del(key), [&h, id](Bytes reply, Duration) {
-    KvReply r = kv_decode_reply(reply);
-    h.respond(id, r.ok, std::move(r.value));
-  });
-  return id;
-}
-
-template <class Client>
 HistoryRecorder::OpId recorded_strong_get(HistoryRecorder& h, Client& c,
                                           std::uint64_t client_id, const std::string& key) {
   HistoryRecorder::OpId id = h.invoke(client_id, HistOp::StrongGet, key);

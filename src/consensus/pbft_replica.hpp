@@ -89,7 +89,6 @@ class PbftReplica : public Component, public Agreement {
   // Introspection (tests, stats) -----------------------------------------
   [[nodiscard]] ViewNr view() const { return view_; }
   [[nodiscard]] bool is_primary() const { return primary_index(view_) == cfg_.my_index; }
-  [[nodiscard]] SeqNr last_delivered() const { return last_delivered_; }
   [[nodiscard]] SeqNr floor() const { return floor_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_reqs_.size(); }
   [[nodiscard]] std::uint64_t view_changes_started() const { return vc_started_; }

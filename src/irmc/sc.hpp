@@ -38,7 +38,6 @@ class ScSender : public Component, public IrmcSenderEndpoint {
   };
 
   [[nodiscard]] Position win_lo(Subchannel sc) const;
-  [[nodiscard]] std::uint32_t my_sender_index() const { return my_index_; }
   std::optional<std::uint32_t> sender_index(NodeId node) const;
   std::optional<std::uint32_t> receiver_index(NodeId node) const;
 
@@ -86,7 +85,6 @@ class ScReceiver : public Component, public IrmcReceiverEndpoint {
 
  private:
   [[nodiscard]] Position win_lo(Subchannel sc) const;
-  [[nodiscard]] std::uint32_t my_receiver_index() const { return my_index_; }
   std::optional<std::uint32_t> sender_index(NodeId node) const;
   void internal_move(Subchannel sc, Position p);
   void deliver_ready(Subchannel sc, Position p);

@@ -47,10 +47,6 @@ struct OpenLoopResult {
   std::uint64_t p999_us = 0;
   double mean_us = 0;
   std::uint64_t max_queue_depth = 0;  ///< worst per-client depth at any arrival
-
-  /// In-window arrivals still unanswered when the run ended: the op backlog
-  /// a saturated system never served.
-  [[nodiscard]] std::uint64_t incomplete() const { return arrivals - completed; }
 };
 
 class OpenLoopRunner {

@@ -39,7 +39,6 @@ class EpollReactor {
   void modify(int fd, std::uint32_t events);
   /// Deregisters the fd. Safe to call from inside its own callback.
   void remove(int fd);
-  [[nodiscard]] std::size_t watched() const { return handlers_.size(); }
 
   /// One-shot wall-clock timer (reconnect backoff). Fires inside wait().
   TimerId add_timer(Clock::time_point when, std::function<void()> fn);

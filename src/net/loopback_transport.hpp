@@ -97,9 +97,6 @@ class LoopbackTransport final : public Transport {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  [[nodiscard]] std::size_t attached_count() const { return endpoints_.size(); }
-  [[nodiscard]] bool is_attached(NodeId id) const { return endpoints_.count(id) != 0; }
-
   EpollReactor& reactor() { return reactor_; }
 
  private:

@@ -46,8 +46,6 @@ enum class TrafficClass : std::uint8_t {
   kUnordered = 1,
 };
 
-const char* traffic_class_name(TrafficClass cls);
-
 /// WAN/LAN byte accounting (the paper's Figure 9d reports exactly these
 /// counters). Both backends classify a hop by the endpoints' modeled sites.
 struct LinkStats {

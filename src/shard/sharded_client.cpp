@@ -12,13 +12,6 @@ namespace {
 /// was not newer than ours (mid-migration window: the gaining shard has not
 /// committed MigrateIn yet, so both sides still refuse the range).
 constexpr Duration kRedirectRetryDelay = 250 * kMillisecond;
-
-Bytes fail_reply() {
-  Writer w;
-  w.u8(0);
-  w.bytes({});
-  return std::move(w).take();
-}
 }  // namespace
 
 ShardedClient::ShardedClient(World& world, ShardMap map,
@@ -60,11 +53,11 @@ void ShardedClient::RecordCompletion::operator()(Bytes reply, Duration /*latency
   self->on_sub_reply(id, std::move(reply));
 }
 
-std::uint64_t ShardedClient::submit_routed(Path path, std::uint32_t shard, Bytes op,
+std::uint64_t ShardedClient::submit_routed(OpKind kind, std::uint32_t shard, Bytes op,
                                            RoutedCallback cb) {
   const std::uint64_t id = next_id_++;
   auto rec = std::make_shared<Inflight>();
-  rec->path = path;
+  rec->kind = kind;
   rec->op = std::move(op);
   rec->start = world_.now();
   rec->done = [this, cb = std::move(cb), start = rec->start](Bytes reply,
@@ -82,12 +75,8 @@ void ShardedClient::issue_to(std::uint64_t id, std::uint32_t shard) {
   if (it == active_.end()) return;
   Inflight& rec = *it->second;
   rec.shard = shard;
-  SpiderClient& sub = *subclients_[shard];
-  switch (rec.path) {
-    case Path::Write: sub.write(Bytes(rec.op), RecordCompletion{this, id}); break;
-    case Path::Strong: sub.strong_read(Bytes(rec.op), RecordCompletion{this, id}); break;
-    case Path::Weak: sub.weak_read(Bytes(rec.op), RecordCompletion{this, id}); break;
-  }
+  subclients_[shard]->submit(
+      {.kind = rec.kind, .op = Bytes(rec.op), .cb = RecordCompletion{this, id}});
 }
 
 void ShardedClient::reissue_single(std::uint64_t id) {
@@ -101,7 +90,7 @@ void ShardedClient::reissue_single(std::uint64_t id) {
     // The adopted map split this op's keys across shards mid-flight; it
     // cannot be re-routed as one command. Fail it (migration caveat).
     active_.erase(it);
-    rec->done(fail_reply(), kNoShard);
+    rec->done(rejected_op_reply(), kNoShard);
     return;
   }
   issue_to(id, shard);
@@ -149,13 +138,13 @@ void ShardedClient::reroute_pending() {
   // forever, if that shard is also partitioned away.
   std::vector<std::uint64_t> ids;
   for (auto& sub : subclients_) {
-    for (SpiderClient::PendingOp& p : sub->cancel_pending()) {
+    for (SpiderClient::Op& p : sub->cancel_pending()) {
       if (const RecordCompletion* rc = p.cb.target<RecordCompletion>()) {
         ids.push_back(rc->id);
       } else {
         // Submitted directly on the subclient (size() fan-out, tests): not
         // key-routed, so restart it on the same shard with its kind intact.
-        sub->resubmit(std::move(p));
+        sub->submit(std::move(p));
       }
     }
   }
@@ -196,17 +185,17 @@ void ShardedClient::weak_read(Bytes op, OpCallback cb) {
 
 void ShardedClient::write_routed(Bytes op, RoutedCallback cb) {
   std::uint32_t shard = route_op(op);  // initial routing failures throw to the caller
-  submit_routed(Path::Write, shard, std::move(op), std::move(cb));
+  submit_routed(OpKind::Write, shard, std::move(op), std::move(cb));
 }
 
 void ShardedClient::strong_read_routed(Bytes op, RoutedCallback cb) {
   std::uint32_t shard = route_op(op);
-  submit_routed(Path::Strong, shard, std::move(op), std::move(cb));
+  submit_routed(OpKind::StrongRead, shard, std::move(op), std::move(cb));
 }
 
 void ShardedClient::weak_read_routed(Bytes op, RoutedCallback cb) {
   std::uint32_t shard = route_op(op);
-  submit_routed(Path::Weak, shard, std::move(op), std::move(cb));
+  submit_routed(OpKind::WeakRead, shard, std::move(op), std::move(cb));
 }
 
 std::map<std::uint32_t, std::vector<std::size_t>> ShardedClient::group_by_shard(
@@ -239,7 +228,7 @@ std::size_t ShardedClient::issue_mget_parts(const std::shared_ptr<MgetJob>& job,
 
     const std::uint64_t id = next_id_++;
     auto rec = std::make_shared<Inflight>();
-    rec->path = job->weak ? Path::Weak : Path::Strong;
+    rec->kind = job->weak ? OpKind::WeakRead : OpKind::StrongRead;
     rec->op = kv_mget(part_keys);
     rec->start = job->start;
     rec->done = [this, job, part = part](Bytes reply, std::uint32_t served_by) {
@@ -308,7 +297,7 @@ std::size_t ShardedClient::issue_mput_parts(const std::shared_ptr<MputJob>& job,
 
     const std::uint64_t id = next_id_++;
     auto rec = std::make_shared<Inflight>();
-    rec->path = Path::Write;
+    rec->kind = OpKind::Write;
     rec->op = kv_mput(part_pairs);
     rec->start = job->start;
     rec->done = [this, job](Bytes reply, std::uint32_t served_by) {
@@ -347,7 +336,7 @@ void ShardedClient::mput(const std::vector<std::pair<std::string, Bytes>>& pairs
 void ShardedClient::size(SizeCallback cb) {
   // Size has no routing key and fans out to every shard unconditionally, so
   // it bypasses the redirect machinery: replicas always own it. A map
-  // adoption mid-flight restarts the sub-reads on their shards (resubmit
+  // adoption mid-flight restarts the sub-reads on their shards (re-submit
   // path in reroute_pending).
   struct SizeJob {
     std::uint64_t total = 0;

@@ -128,12 +128,10 @@ class ShardedClient {
   [[nodiscard]] std::size_t pending_ops() const { return active_.size(); }
 
  private:
-  enum class Path : std::uint8_t { Write, Strong, Weak };
-
   /// One router-tracked op: survives redirects and map adoptions until its
   /// final reply (or routing failure) fires `done`.
   struct Inflight {
-    Path path = Path::Write;
+    OpKind kind = OpKind::Write;
     Bytes op;
     Time start = 0;
     std::uint32_t shard = kNoShard;  // subclient currently carrying the op
@@ -154,7 +152,7 @@ class ShardedClient {
   struct MgetJob;
   struct MputJob;
 
-  std::uint64_t submit_routed(Path path, std::uint32_t shard, Bytes op,
+  std::uint64_t submit_routed(OpKind kind, std::uint32_t shard, Bytes op,
                               RoutedCallback cb);
   void issue_to(std::uint64_t id, std::uint32_t shard);
   void reissue_single(std::uint64_t id);

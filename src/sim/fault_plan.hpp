@@ -148,7 +148,6 @@ class FaultPlan {
 
   // ---- introspection ------------------------------------------------------
   [[nodiscard]] bool crashed(NodeId n) const { return crashed_.count(n) > 0; }
-  [[nodiscard]] std::size_t active_partitions() const { return partitions_.size(); }
   [[nodiscard]] std::uint64_t actions_fired() const { return actions_fired_; }
   /// Currently active merged Byzantine flags of node n.
   [[nodiscard]] ByzantineFlags byzantine(NodeId n) const;

@@ -7,16 +7,6 @@
 
 namespace spider {
 
-const char* cpu_cat_name(CpuCat cat) {
-  switch (cat) {
-    case CpuCat::kSerde: return "serde";
-    case CpuCat::kCrypto: return "crypto";
-    case CpuCat::kApp: return "app";
-    case CpuCat::kOther: return "other";
-  }
-  return "other";
-}
-
 SimNode::SimNode(World& world, NodeId id, Site site) : world_(world), id_(id), site_(site) {
   world_.transport().attach(this);
 }

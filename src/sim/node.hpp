@@ -38,7 +38,6 @@ enum class CpuCat : std::uint8_t {
   kOther = 3,   // everything else charged explicitly
 };
 inline constexpr std::size_t kCpuCatCount = 4;
-const char* cpu_cat_name(CpuCat cat);
 
 class SimNode : public TransportEndpoint {
  public:

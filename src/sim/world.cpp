@@ -35,12 +35,6 @@ Payload World::intern_state(Bytes state) {
   return interned_.emplace_back(std::move(state));
 }
 
-void World::disable_tracing() {
-  net_->set_tracer(nullptr);
-  tracer_raw_ = nullptr;
-  tracer_.reset();
-}
-
 void World::refresh_platform_metrics() {
   metrics_.counter("eventqueue_scheduled").inc(
       queue_.scheduled_total() - metrics_.counter("eventqueue_scheduled").value());

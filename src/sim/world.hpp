@@ -86,7 +86,6 @@ class World {
   /// recorder, keeping the last `ring_capacity` events in fixed memory).
   obs::Tracer& enable_tracing(obs::Tracer::Mode mode = obs::Tracer::Mode::kFull,
                               std::size_t ring_capacity = 1 << 16);
-  void disable_tracing();
 
   /// Copies platform counters (event queue, network link stats, payload
   /// digest totals) into the registry so a snapshot sees them. Cheap; call

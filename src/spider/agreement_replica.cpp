@@ -433,22 +433,4 @@ void AgreementReplica::apply_byzantine(const ByzantineFlags& f) {
   checkpointer_->forge_checkpoints = f.forge_checkpoints;
 }
 
-void AgreementReplica::handle_registry_query(NodeId from) {
-  send_to(from, seal_mac(tags::kRegistry, from, registry_.encode()));
-}
-
-void AgreementReplica::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    std::uint32_t tag = r.u32();
-    if (tag == tags::kRegistry) {
-      handle_registry_query(from);
-      return;
-    }
-  } catch (const SerdeError&) {
-    return;
-  }
-  ComponentHost::on_message(from, data);
-}
-
 }  // namespace spider

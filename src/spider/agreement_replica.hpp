@@ -48,8 +48,6 @@ class AgreementReplica : public ComponentHost {
  public:
   AgreementReplica(World& world, Site site, AgreementConfig cfg);
 
-  void on_message(NodeId from, BytesView data) override;
-
   /// Crash-recovery bootstrap: actively fetch the group's latest stable
   /// agreement checkpoint instead of waiting for the next periodic one
   /// (which may never come if client traffic stopped).
@@ -90,7 +88,6 @@ class AgreementReplica : public ComponentHost {
   void maybe_checkpoint();
   Bytes snapshot_state() const;
   void on_stable_checkpoint(SeqNr s, BytesView state);
-  void handle_registry_query(NodeId from);
 
   AgreementConfig cfg_;
   std::unique_ptr<PbftReplica> pbft_;

@@ -28,59 +28,57 @@ SpiderClient::SpiderClient(World& world, Site site, ClientGroupInfo group, Durat
       rng_(world.rng().fork()),
       retransmits_(world.metrics().counter("client_retransmits",
                                            {.node = id(), .role = "client"})),
-      lat_ordered_(world.metrics().histogram("client_latency_ordered",
-                                             {.node = id(), .role = "client"})),
-      lat_direct_(world.metrics().histogram("client_latency_direct",
-                                            {.node = id(), .role = "client"})) {}
+      ordered_(true, world.metrics().histogram("client_latency_ordered",
+                                               {.node = id(), .role = "client"})),
+      direct_(false, world.metrics().histogram("client_latency_direct",
+                                               {.node = id(), .role = "client"})) {}
+
+SpiderClient::Lane& SpiderClient::lane_for(OpKind kind) {
+  const bool direct = kind == OpKind::WeakRead ||
+                      (kind == OpKind::StrongRead && group_.direct_strong_quorum != 0);
+  return direct ? direct_ : ordered_;
+}
+
+void SpiderClient::submit(Op op) {
+  Lane& lane = lane_for(op.kind);
+  lane.queue.push_back(std::move(op));
+  start(lane);
+}
 
 void SpiderClient::switch_group(ClientGroupInfo group) {
   group_ = std::move(group);
-  if (in_flight_) {
-    replies_.clear();
-    transmit_current();
-  }
-  if (weak_in_flight_) {
-    weak_replies_.clear();
-    transmit_weak();
+  for (Lane* lane : {&ordered_, &direct_}) {
+    if (!lane->busy) continue;
+    lane->replies.clear();
+    transmit(*lane);
   }
 }
 
-void SpiderClient::submit_ordered(OpKind kind, Bytes op, OpCallback cb, bool open,
-                                  Time enqueued) {
-  queue_.push_back(OrderedOp{kind, std::move(op), std::move(cb),
-                             enqueued >= 0 ? enqueued : now(), open});
-  if (!in_flight_) start_next();
-}
+void SpiderClient::start(Lane& lane) {
+  // A callback that submits on its own lane has already started the next
+  // op; starting again would send (and, on the ordered lane, execute) it
+  // twice.
+  if (lane.busy || lane.queue.empty()) return;
+  lane.busy = true;
+  ++lane.counter;
+  lane.attempts = 0;
+  const Op& cur = lane.queue.front();
 
-void SpiderClient::fire(OpKind kind, Bytes op, OpCallback cb) {
-  if (kind == OpKind::WeakRead ||
-      (kind == OpKind::StrongRead && group_.direct_strong_reads)) {
-    submit_direct(kind, std::move(op), std::move(cb), /*open=*/true);
-  } else {
-    submit_ordered(kind, std::move(op), std::move(cb), /*open=*/true);
-  }
-}
-
-void SpiderClient::start_next() {
-  if (queue_.empty()) return;
-  in_flight_ = true;
-  ++tc_;
-  OrderedOp& cur = queue_.front();
-
-  ClientRequest req{cur.kind, id(), tc_, cur.op};
-  Bytes sig = sign_statement(tags::kClient, req.encode());
-  current_wire_ = ClientFrame{std::move(req), std::move(sig)}.encode();
-  replies_.clear();
-  current_start_ = now();
-  retry_cur_ = retry_;
+  // The direct frame carries no signature: weak reads are MAC-only.
+  ClientRequest req{cur.kind, id(), lane.counter, cur.op};
+  Bytes sig = lane.ordered ? sign_statement(tags::kClient, req.encode()) : Bytes{};
+  lane.wire = ClientFrame{std::move(req), std::move(sig)}.encode();
+  lane.replies.clear();
+  lane.start = now();
+  lane.retry_cur = retry_;
   if (auto* t = tracer()) {
-    t->async(obs::Ph::kAsyncBegin, now(), id(), obs::request_id(id(), tc_),
-             "request", "ordered", "kind", static_cast<std::uint64_t>(cur.kind));
+    t->async(obs::Ph::kAsyncBegin, now(), id(),
+             obs::request_id(id(), lane.counter, /*weak=*/!lane.ordered), "request",
+             lane.ordered ? "ordered" : "direct", "kind",
+             static_cast<std::uint64_t>(cur.kind));
   }
-  transmit_current();
-
-  if (retry_timer_ != EventQueue::kInvalidEvent) cancel_timer(retry_timer_);
-  arm_retry();
+  transmit(lane);
+  arm_retry(lane);
 }
 
 Duration SpiderClient::retry_jitter(Duration base) {
@@ -90,73 +88,17 @@ Duration SpiderClient::retry_jitter(Duration base) {
   return static_cast<Duration>(rng_.uniform(static_cast<std::uint64_t>(base / 4) + 1));
 }
 
-void SpiderClient::arm_retry() {
-  // Keep resending the in-flight request until fe+1 matching replies arrive
-  // (paper Fig. 15, L. 11-13). The interval backs off exponentially — but
-  // capped at kRetryBackoffCap x the base interval, so a recovering system
-  // is reprobed within bounded time — and jittered, so a batched/saturated
-  // system is not hammered with synchronized duplicates that would only be
-  // answered from the reply cache.
-  retry_timer_ = set_timer(retry_cur_ + retry_jitter(retry_cur_), [this] {
-    retry_timer_ = EventQueue::kInvalidEvent;
-    if (!in_flight_) return;
-    retransmits_.inc();
-    if (auto* t = tracer()) {
-      t->async(obs::Ph::kAsyncInstant, now(), id(), obs::request_id(id(), tc_),
-               "request", "retransmit");
-    }
-    transmit_current();
-    retry_cur_ = std::min<Duration>(retry_cur_ * 2, kRetryBackoffCap * retry_);
-    arm_retry();
-  });
-}
-
-void SpiderClient::transmit_framed(const Bytes& frame, TrafficClass cls) {
-  for (NodeId replica : group_.members) {
-    send_to(replica, seal_mac(tags::kClient, replica, frame), cls);
-  }
-}
-
-void SpiderClient::transmit_current() {
-  transmit_framed(current_wire_, TrafficClass::kOrdered);
-}
-
-void SpiderClient::weak_read(Bytes op, OpCallback cb) {
-  submit_direct(OpKind::WeakRead, std::move(op), std::move(cb));
-}
-
-void SpiderClient::submit_direct(OpKind kind, Bytes op, OpCallback cb, bool open) {
-  weak_queue_.push_back(WeakOp{std::move(op), std::move(cb), kind, now(), open});
-  if (!weak_in_flight_) start_weak();
-}
-
-void SpiderClient::start_weak() {
-  if (weak_queue_.empty()) return;
-  weak_in_flight_ = true;
-  weak_attempts_ = 0;
-  ++weak_counter_;
-  weak_replies_.clear();
-  weak_start_ = now();
-  weak_retry_cur_ = retry_;
-  if (auto* t = tracer()) {
-    t->async(obs::Ph::kAsyncBegin, now(), id(),
-             obs::request_id(id(), weak_counter_, /*weak=*/true), "request",
-             "direct", "kind",
-             static_cast<std::uint64_t>(weak_queue_.front().kind));
-  }
-  transmit_weak();
-  arm_weak_retry();
-}
-
-void SpiderClient::arm_weak_retry() {
-  // Same capped exponential backoff + jitter as the ordered path. The
-  // direct path used to re-arm at the constant base interval, which turned
-  // every partition into a deterministic weak-read retry storm.
-  weak_retry_timer_ = set_timer(weak_retry_cur_ + retry_jitter(weak_retry_cur_), [this] {
-    weak_retry_timer_ = EventQueue::kInvalidEvent;
-    if (!weak_in_flight_) return;
-    if (weak_queue_.front().kind == OpKind::StrongRead &&
-        ++weak_attempts_ >= kDirectReadFallbackRetries) {
+void SpiderClient::arm_retry(Lane& lane) {
+  // Keep resending the in-flight request until enough matching replies
+  // arrive (paper Fig. 15, L. 11-13). The interval backs off exponentially —
+  // but capped at kRetryBackoffCap x the base interval, so a recovering
+  // system is reprobed within bounded time — and jittered, so a
+  // batched/saturated system is not hammered with synchronized duplicates
+  // that would only be answered from the reply cache.
+  lane.timer = set_timer(lane.retry_cur + retry_jitter(lane.retry_cur), [this, &lane] {
+    lane.timer = EventQueue::kInvalidEvent;
+    if (!lane.ordered && lane.queue.front().kind == OpKind::StrongRead &&
+        ++lane.attempts >= kDirectReadFallbackRetries) {
       // Read-only optimization fallback (Castro-Liskov): the direct
       // replies will never agree — re-submit as a regular ordered
       // request. Deliberately OpKind::Write, not StrongRead: replicas in
@@ -164,73 +106,58 @@ void SpiderClient::arm_weak_retry() {
       // ordering (that is the loop being broken here), and only the
       // regular-request kind forces the op through consensus. The op
       // itself is read-only, so ordering it mutates nothing and answers
-      // from the committed state at its sequence position. This path is
-      // only reachable with direct_strong_reads (flat-BFT baselines);
-      // Spider strong reads are always ordered.
-      WeakOp op = std::move(weak_queue_.front());
-      weak_queue_.pop_front();
-      weak_in_flight_ = false;
+      // from the committed state at its sequence position. An open op
+      // keeps its original sojourn stamp.
+      Op op = take_head(lane);
       if (auto* t = tracer()) {
         t->async(obs::Ph::kAsyncEnd, now(), id(),
-                 obs::request_id(id(), weak_counter_, /*weak=*/true), "request",
-                 "direct", "fallback", 1);
+                 obs::request_id(id(), lane.counter, /*weak=*/true), "request", "direct",
+                 "fallback", 1);
       }
-      // An open op keeps its original sojourn stamp across the fallback.
-      submit_ordered(OpKind::Write, std::move(op.op), std::move(op.cb), op.open,
-                     op.enqueued);
-      start_weak();
+      op.kind = OpKind::Write;
+      submit(std::move(op));
+      start(lane);
       return;
     }
     retransmits_.inc();
     if (auto* t = tracer()) {
       t->async(obs::Ph::kAsyncInstant, now(), id(),
-               obs::request_id(id(), weak_counter_, /*weak=*/true), "request",
+               obs::request_id(id(), lane.counter, /*weak=*/!lane.ordered), "request",
                "retransmit");
     }
-    transmit_weak();
-    weak_retry_cur_ = std::min<Duration>(weak_retry_cur_ * 2, kRetryBackoffCap * retry_);
-    arm_weak_retry();
+    transmit(lane);
+    lane.retry_cur = std::min<Duration>(lane.retry_cur * 2, kRetryBackoffCap * retry_);
+    arm_retry(lane);
   });
 }
 
-std::vector<SpiderClient::PendingOp> SpiderClient::cancel_pending() {
-  std::vector<PendingOp> out;
-  for (OrderedOp& op : queue_) {
-    out.push_back(PendingOp{op.kind, std::move(op.op), std::move(op.cb)});
+void SpiderClient::transmit(const Lane& lane) {
+  // MAC-framed fan-out to the whole group. Ordered requests ride the
+  // reliable control channel; direct ones are retried and idempotent, so
+  // they ride the unordered datagram channel on the socket backend.
+  const TrafficClass cls = lane.ordered ? TrafficClass::kOrdered : TrafficClass::kUnordered;
+  for (NodeId replica : group_.members) {
+    send_to(replica, seal_mac(tags::kClient, replica, lane.wire), cls);
   }
-  queue_.clear();
-  in_flight_ = false;
-  current_wire_.clear();
-  replies_.clear();
-  if (retry_timer_ != EventQueue::kInvalidEvent) {
-    cancel_timer(retry_timer_);
-    retry_timer_ = EventQueue::kInvalidEvent;
+}
+
+SpiderClient::Op SpiderClient::take_head(Lane& lane) {
+  Op op = std::move(lane.queue.front());
+  lane.queue.pop_front();
+  lane.busy = false;
+  if (lane.timer != EventQueue::kInvalidEvent) {
+    cancel_timer(lane.timer);
+    lane.timer = EventQueue::kInvalidEvent;
   }
-  for (WeakOp& op : weak_queue_) {
-    out.push_back(PendingOp{op.kind, std::move(op.op), std::move(op.cb)});
-  }
-  weak_queue_.clear();
-  weak_in_flight_ = false;
-  weak_replies_.clear();
-  if (weak_retry_timer_ != EventQueue::kInvalidEvent) {
-    cancel_timer(weak_retry_timer_);
-    weak_retry_timer_ = EventQueue::kInvalidEvent;
+  return op;
+}
+
+std::vector<SpiderClient::Op> SpiderClient::cancel_pending() {
+  std::vector<Op> out;
+  for (Lane* lane : {&ordered_, &direct_}) {
+    while (!lane->queue.empty()) out.push_back(take_head(*lane));
   }
   return out;
-}
-
-void SpiderClient::resubmit(PendingOp op) {
-  if (op.kind == OpKind::WeakRead ||
-      (op.kind == OpKind::StrongRead && group_.direct_strong_reads)) {
-    submit_direct(op.kind, std::move(op.op), std::move(op.cb));
-  } else {
-    submit_ordered(op.kind, std::move(op.op), std::move(op.cb));
-  }
-}
-
-void SpiderClient::transmit_weak() {
-  ClientRequest req{weak_queue_.front().kind, id(), weak_counter_, weak_queue_.front().op};
-  transmit_framed(ClientFrame{std::move(req), {}}.encode(), TrafficClass::kUnordered);
 }
 
 void SpiderClient::on_message(NodeId from, BytesView data) {
@@ -254,55 +181,27 @@ void SpiderClient::handle_reply(NodeId from, Reader& r) {
   Reader br(*body);
   ReplyMsg reply = ReplyMsg::decode(br);
 
-  if (reply.weak) {
-    if (!weak_in_flight_ || reply.counter != weak_counter_) return;
-    weak_replies_[from] = reply.result;
-    std::uint32_t quorum = group_.fe + 1;
-    if (weak_queue_.front().kind == OpKind::StrongRead) {
-      quorum = group_.strong_quorum != 0 ? group_.strong_quorum : group_.fe + 1;
-    }
-    if (const Bytes* result = matching_quorum(weak_replies_, quorum)) {
-      Bytes out = *result;
-      WeakOp op = std::move(weak_queue_.front());
-      weak_queue_.pop_front();
-      weak_in_flight_ = false;
-      if (weak_retry_timer_ != EventQueue::kInvalidEvent) {
-        cancel_timer(weak_retry_timer_);
-        weak_retry_timer_ = EventQueue::kInvalidEvent;
-      }
-      Duration latency = now() - weak_start_;
-      lat_direct_.add(static_cast<std::uint64_t>(latency));
-      if (auto* t = tracer()) {
-        t->async(obs::Ph::kAsyncEnd, now(), id(),
-                 obs::request_id(id(), weak_counter_, /*weak=*/true), "request",
-                 "direct");
-      }
-      op.cb(std::move(out), op.open ? now() - op.enqueued : latency);
-      start_weak();  // next queued weak read, if any
-    }
-    return;
-  }
+  Lane& lane = reply.weak ? direct_ : ordered_;
+  if (!lane.busy || reply.counter != lane.counter) return;
+  lane.replies[from] = reply.result;
+  const std::uint32_t quorum =
+      !lane.ordered && lane.queue.front().kind == OpKind::StrongRead
+          ? group_.direct_strong_quorum
+          : group_.fe + 1;
+  const Bytes* result = matching_quorum(lane.replies, quorum);
+  if (result == nullptr) return;
 
-  if (!in_flight_ || reply.counter != tc_) return;
-  replies_[from] = reply.result;
-  if (const Bytes* result = matching_quorum(replies_, group_.fe + 1)) {
-    Bytes out = *result;
-    OrderedOp op = std::move(queue_.front());
-    queue_.pop_front();
-    in_flight_ = false;
-    if (retry_timer_ != EventQueue::kInvalidEvent) {
-      cancel_timer(retry_timer_);
-      retry_timer_ = EventQueue::kInvalidEvent;
-    }
-    Duration latency = now() - current_start_;
-    lat_ordered_.add(static_cast<std::uint64_t>(latency));
-    if (auto* t = tracer()) {
-      t->async(obs::Ph::kAsyncEnd, now(), id(), obs::request_id(id(), tc_),
-               "request", "ordered");
-    }
-    op.cb(std::move(out), op.open ? now() - op.enqueued : latency);
-    start_next();
+  Bytes out = *result;
+  Op op = take_head(lane);
+  Duration latency = now() - lane.start;
+  lane.latency.add(static_cast<std::uint64_t>(latency));
+  if (auto* t = tracer()) {
+    t->async(obs::Ph::kAsyncEnd, now(), id(),
+             obs::request_id(id(), lane.counter, /*weak=*/!lane.ordered), "request",
+             lane.ordered ? "ordered" : "direct");
   }
+  op.cb(std::move(out), op.open ? now() - op.enqueued : latency);
+  start(lane);
 }
 
 }  // namespace spider

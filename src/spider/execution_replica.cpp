@@ -10,17 +10,6 @@ namespace spider {
 namespace {
 // Modeled CPU cost of executing one application operation.
 constexpr Duration kExecCost = 8;
-
-// Cached for an ordered op the application rejects as malformed. Every
-// correct replica rejects it the same way, so this fixed reply (the
-// status-byte framing's "failed", like other replica-made replies) still
-// reaches a matching quorum.
-Bytes rejected_op_reply() {
-  Writer w;
-  w.u8(0);
-  w.bytes({});
-  return std::move(w).take();
-}
 }  // namespace
 
 ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,

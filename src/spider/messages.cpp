@@ -117,6 +117,13 @@ ReplyMsg ReplyMsg::decode(Reader& r) {
   return m;
 }
 
+Bytes rejected_op_reply() {
+  Writer w;
+  w.u8(0);
+  w.bytes({});
+  return std::move(w).take();
+}
+
 Bytes ReconfigCmd::encode() const {
   Writer w;
   w.boolean(add);

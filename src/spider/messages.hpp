@@ -97,6 +97,12 @@ struct ReplyMsg {
   static ReplyMsg decode(Reader& r);
 };
 
+/// Result for an ordered op the application rejects as malformed. Every
+/// correct replica rejects it the same way, so this fixed reply (the
+/// status-byte framing's "failed", like other replica-made replies) still
+/// reaches a matching quorum and the client's next op is not stuck behind it.
+Bytes rejected_op_reply();
+
 /// Reconfiguration commands (payload of OpKind::Reconfig).
 struct ReconfigCmd {
   bool add = true;  // true = AddGroup, false = RemoveGroup
@@ -108,8 +114,8 @@ struct ReconfigCmd {
   static ReconfigCmd decode(Reader& r);
 };
 
-/// Execution-replica registry entry (paper §3.1): served by the agreement
-/// group so clients can locate active execution groups.
+/// Execution-replica registry entry (paper §3.1): the agreement group's
+/// record of the active execution groups, part of its checkpoint state.
 struct RegistryEntry {
   GroupId group = 0;
   Region region = Region::Virginia;

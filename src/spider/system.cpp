@@ -332,11 +332,6 @@ bool SpiderSystem::set_byzantine(NodeId id, const ByzantineFlags& flags) {
   return false;
 }
 
-ByzantineFlags SpiderSystem::byzantine_flags(NodeId id) const {
-  auto it = byz_flags_.find(id);
-  return it == byz_flags_.end() ? ByzantineFlags{} : it->second;
-}
-
 bool SpiderSystem::is_crashed(NodeId id) const {
   for (std::size_t i = 0; i < agreement_ids_.size(); ++i) {
     if (agreement_ids_[i] == id) return agreement_[i] == nullptr;

@@ -120,7 +120,6 @@ class SpiderSystem {
   /// its scheduled misbehaviour — and are cleared by applying a
   /// default-constructed set. Returns false for unknown ids.
   bool set_byzantine(NodeId id, const ByzantineFlags& flags);
-  [[nodiscard]] ByzantineFlags byzantine_flags(NodeId id) const;
 
   // ---- runtime reconfiguration (paper §3.6) ------------------------------
   /// Starts 2fe+1 replicas in `region` and submits <AddGroup> through the

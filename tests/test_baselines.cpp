@@ -42,6 +42,27 @@ std::pair<KvReply, Duration> run_weak_read(World& world, MakeClient& client,
   return {out, lat};
 }
 
+/// Submits an op the KV app cannot decode (unknown opcode), then a valid
+/// put. Every replica must cache the same rejection reply so the client's
+/// one outstanding op is answered and its next op is not stuck behind it.
+template <typename Client>
+void expect_malformed_op_rejected(World& world, Client& client) {
+  Bytes bad_result;
+  Duration bad_lat = -1;
+  client.write(Bytes{0x07}, [&](Bytes result, Duration l) {
+    bad_result = std::move(result);
+    bad_lat = l;
+  });
+  Time deadline = world.now() + 30 * kSecond;
+  while (bad_lat < 0 && world.now() < deadline) world.queue().run_next();
+  ASSERT_GE(bad_lat, 0) << "malformed op got no reply quorum";
+  EXPECT_FALSE(kv_decode_reply(bad_result).ok);
+
+  auto [reply, lat] = run_write(world, client, "k", "v");
+  ASSERT_GE(lat, 0) << "the op after the malformed one never completed";
+  EXPECT_TRUE(reply.ok);
+}
+
 // ----------------------------------------------------------------- BFT
 
 TEST(BaselineBft, WriteCompletesOverWan) {
@@ -123,6 +144,62 @@ TEST(BaselineBft, Spider0EConfiguration) {
   ASSERT_TRUE(r2.ok);
   EXPECT_LT(lat_near, 30 * kMillisecond);
   EXPECT_GT(lat_far, 150 * kMillisecond);  // dominated by client WAN RTT
+}
+
+TEST(BaselineBft, MalformedOpIsRejectedWithoutStallingExecution) {
+  World world(1);
+  BftSystem sys(world, BftConfig{geo_sites()});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  expect_malformed_op_rejected(world, *client);
+  world.run_for(2 * kSecond);
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    EXPECT_EQ(sys.replica(i).executed_seq(), 2u) << i;
+    EXPECT_EQ(sys.replica(i).app().snapshot(), sys.replica(0).app().snapshot()) << i;
+  }
+}
+
+TEST(BaselineBft, DirectStrongReadFallsBackToOrdering) {
+  // Flat-BFT strong reads first query every replica directly and need 2f+1
+  // matching replies. With one replica cut off from the client and another
+  // corrupting its replies that quorum never forms, so after
+  // kDirectReadFallbackRetries attempts the read must go through ordering.
+  World world(1);
+  BftSystem sys(world, BftConfig{geo_sites()});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(run_write(world, *client, "k", "v").first.ok);
+  world.run_for(2 * kSecond);
+  ASSERT_EQ(sys.replica(0).executed_seq(), 1u);
+
+  const NodeId cid = client->id();
+  const NodeId cut = sys.replica(3).id();
+  world.net().set_link_filter([cid, cut](NodeId from, NodeId to) {
+    return !((from == cid && to == cut) || (from == cut && to == cid));
+  });
+  sys.replica(2).corrupt_replies = true;
+
+  const std::uint64_t retries_before = client->retries();
+  const Time fired = world.now();
+  KvReply out;
+  Duration lat = -1;
+  Time done_at = 0;
+  client->fire(OpKind::StrongRead, kv_get("k"), [&](Bytes result, Duration l) {
+    out = kv_decode_reply(result);
+    lat = l;
+    done_at = world.now();
+  });
+  Time deadline = world.now() + 120 * kSecond;
+  while (lat < 0 && world.now() < deadline) world.queue().run_next();
+  ASSERT_GE(lat, 0) << "strong read never completed";
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(to_string(out.value), "v");
+  // Every direct attempt but the last was a retransmission.
+  EXPECT_GE(client->retries() - retries_before, SpiderClient::kDirectReadFallbackRetries - 1);
+  // The read was ordered: it took a sequence number at the correct replicas.
+  EXPECT_EQ(sys.replica(0).executed_seq(), 2u);
+  EXPECT_EQ(sys.replica(1).executed_seq(), 2u);
+  // A fire()d op reports sojourn latency, direct attempts included.
+  EXPECT_EQ(lat, done_at - fired);
+  EXPECT_GT(lat, 2 * kSecond);
 }
 
 // ----------------------------------------------------------------- BFT-WV
@@ -214,6 +291,19 @@ TEST(BaselineHft, ConcurrentSubmissionBothOrdered) {
   Time deadline = world.now() + 30 * kSecond;
   while (done < 2 && world.now() < deadline) world.queue().run_next();
   EXPECT_EQ(done, 2);
+}
+
+TEST(BaselineHft, MalformedOpIsRejectedWithoutStallingExecution) {
+  World world(1);
+  HftSystem sys(world, HftConfig{});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  expect_malformed_op_rejected(world, *client);
+  world.run_for(2 * kSecond);
+  for (std::uint32_t s = 0; s < sys.site_count(); ++s) {
+    EXPECT_EQ(sys.replica(s, 1).executed_seq(), 2u) << "site " << s;
+    EXPECT_EQ(sys.replica(s, 1).app().snapshot(), sys.replica(0, 1).app().snapshot())
+        << "site " << s;
+  }
 }
 
 }  // namespace

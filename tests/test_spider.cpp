@@ -389,28 +389,29 @@ TEST(Spider, FaultyClientConflictingRequestsContained) {
   EXPECT_TRUE(f.do_write(*client, "good", "v").first.ok);
 }
 
-TEST(Spider, RegistryQueryListsGroups) {
-  Fixture f;
-  ComponentHost asker(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
-  // Raw query to one agreement replica (clients would collect fa+1 matching).
+TEST(Spider, RegistryFrameDrawsNoReplyAndNoCryptoCharge) {
+  // Nothing in the system sends a kRegistry frame. An unauthenticated one
+  // must be dropped like any frame whose tag no component owns: no reply,
+  // and no MAC or signature charged to the agreement replica.
   struct Capture : ComponentHost {
     using ComponentHost::ComponentHost;
-    Bytes got;
-    void on_message(NodeId, BytesView data) override { got = to_bytes(data); }
+    std::size_t got = 0;
+    void on_message(NodeId, BytesView) override { ++got; }
   };
-  Capture cap(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
-  Writer q;
-  q.u32(tags::kRegistry);
-  cap.send_to(f.sys.agreement(0).id(), std::move(q).take());
-  f.world.run_for(kSecond);
-  ASSERT_FALSE(cap.got.empty());
-  Reader r(cap.got);
-  ASSERT_EQ(r.u32(), tags::kRegistry);
-  BytesView rest = r.raw(r.remaining());
-  BytesView body = rest.subspan(0, rest.size() - f.world.crypto().mac_size());
-  Reader br(body);
-  RegistrySnapshot snap = RegistrySnapshot::decode(br);
-  EXPECT_EQ(snap.groups.size(), 4u);
+  auto probe = [](std::uint32_t tag) {
+    Fixture f;
+    Capture cap(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
+    Writer q;
+    q.u32(tag);
+    cap.send_to(f.sys.agreement(0).id(), std::move(q).take());
+    f.world.run_for(kSecond);
+    return std::pair{cap.got, f.sys.agreement(0).busy_in(CpuCat::kCrypto)};
+  };
+  const auto [replies, crypto] = probe(tags::kRegistry);
+  const auto [unknown_replies, unknown_crypto] = probe(0x7f000000);  // no such component
+  EXPECT_EQ(replies, 0u);
+  EXPECT_EQ(unknown_replies, 0u);
+  EXPECT_EQ(crypto, unknown_crypto);
 }
 
 TEST(Spider, SenderCollectIrmcEndToEnd) {

@@ -149,6 +149,45 @@ TEST(SpiderSemantics, RetriedWriteExecutedAtMostOnce) {
   EXPECT_EQ(after, before + 1);  // one op -> exactly one slot
 }
 
+TEST(SpiderSemantics, WriteSubmittedFromCallbackExecutesOnce) {
+  // Closed-loop callers chain the next op from the previous op's completion
+  // callback (ShardedClient's mget/mput re-split does too). The chained op
+  // must be ordered and executed once, not once per lane restart.
+  Fx f;
+  auto client = f.sys.make_client(Site{Region::Virginia, 0});
+  int done = 0;
+  client->write(kv_put("a", to_bytes(std::string("1"))), [&](Bytes, Duration) {
+    ++done;
+    client->write(kv_put("b", to_bytes(std::string("2"))), [&](Bytes, Duration) { ++done; });
+  });
+  ASSERT_TRUE(drive::run_until(f.world, [&] { return done == 2; }, 30 * kSecond));
+  f.world.run_for(5 * kSecond);
+  for (GroupId g : f.sys.group_ids()) {
+    for (std::size_t i = 0; i < f.sys.group_size(g); ++i) {
+      EXPECT_EQ(f.sys.exec(g, i).executed_seq(), 2u) << "group " << g << " replica " << i;
+    }
+  }
+}
+
+TEST(SpiderSemantics, WeakReadSubmittedFromCallbackSendsOneFanOutPerAttempt) {
+  Fx f;
+  auto client = f.sys.make_client(Site{Region::Virginia, 0});
+  const NodeId cid = client->id();
+  std::size_t requests = 0;
+  f.world.net().set_link_filter([&](NodeId from, NodeId) {
+    if (from == cid) ++requests;
+    return true;
+  });
+  int done = 0;
+  client->weak_read(kv_get("a"), [&](Bytes, Duration) {
+    ++done;
+    client->weak_read(kv_get("b"), [&](Bytes, Duration) { ++done; });
+  });
+  ASSERT_TRUE(drive::run_until(f.world, [&] { return done == 2; }, 30 * kSecond));
+  f.world.run_for(10 * kSecond);
+  EXPECT_EQ(requests, client->group().members.size() * (2 + client->retries()));
+}
+
 TEST(SpiderSemantics, WeakReadsServedDuringAgreementOutage) {
   // Paper §3.1: if > fa agreement replicas are unresponsive, ordering
   // stalls but weakly consistent reads keep working in every region.
