@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the crypto substrate (real wall
-// time, not simulated time): SHA-256, HMAC-SHA-256 and FastCrypto signing,
-// the hot paths of the one crypto engine. The modeled costs the simulation
-// charges come from CryptoCosts, not from these numbers.
+// time, not simulated time): SHA-256, HMAC-SHA-256 and FastCrypto signing
+// and verification, the hot paths of the one crypto engine. The modeled
+// costs the simulation charges come from CryptoCosts, not from these
+// numbers.
 #include <benchmark/benchmark.h>
 
 #include "crypto/hmac.hpp"
@@ -37,6 +38,26 @@ void BM_FastCryptoSign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FastCryptoSign);
+
+void BM_FastCryptoVerify(benchmark::State& state) {
+  FastCrypto fc(1);
+  Bytes msg(200, 0x42);
+  const Bytes sig = fc.sign(1, msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fc.verify(1, msg, sig));
+  }
+}
+BENCHMARK(BM_FastCryptoVerify);
+
+void BM_FastCryptoVerifyMac(benchmark::State& state) {
+  FastCrypto fc(1);
+  Bytes msg(200, 0x42);
+  const Bytes tag = fc.mac(1, 2, msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fc.verify_mac(1, 2, msg, tag));
+  }
+}
+BENCHMARK(BM_FastCryptoVerifyMac);
 
 }  // namespace
 }  // namespace spider

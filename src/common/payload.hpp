@@ -15,6 +15,11 @@
 // wall-clock cost is paid once. Immutability makes invalidation trivial:
 // bytes never change under a memo entry; "modifying" a payload means
 // building a new one, which starts with an empty memo.
+//
+// A buffer built as an authenticated frame also carries a SealStamp naming
+// who sealed it and for whom. The stamp is fixed when the buffer is built
+// and, like the bytes, never changes; a copy of the bytes is a new buffer
+// without one.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/ids.hpp"
 #include "common/serde.hpp"
 #include "crypto/sha256.hpp"
 
@@ -33,6 +39,17 @@ namespace spider {
 /// World::refresh_platform_metrics(); the per-buffer counter below stays
 /// the fine-grained test hook.
 std::uint64_t payload_digest_computations_total();
+
+/// Who sealed a frame buffer [u32 tag][body][auth] and for whom (see
+/// SimNode::seal_mac / seal_signed). `sealed_for` is the MAC's receiver, or
+/// 0 for a signature: World never allocates NodeId 0, so it cannot name a
+/// receiver. `prefix_len` is the length of the [tag][body] the auth covers.
+/// A default stamp (sealer 0) marks a buffer nobody sealed.
+struct SealStamp {
+  NodeId sealer = 0;
+  NodeId sealed_for = 0;
+  std::uint32_t prefix_len = 0;
+};
 
 class Payload {
  public:
@@ -46,6 +63,11 @@ class Payload {
   explicit Payload(BytesView v) : Payload(Bytes(v.begin(), v.end())) {}
   /// Takes the finished buffer out of a Writer (no copy).
   explicit Payload(Writer&& w) : Payload(std::move(w).take()) {}
+  /// Takes the finished frame out of a Writer and stamps its buffer.
+  Payload(Writer&& w, SealStamp stamp)
+      : buf_(std::make_shared<Buf>(std::move(w).take(), stamp)) {
+    len_ = buf_->data.size();
+  }
 
   [[nodiscard]] BytesView view() const {
     return buf_ ? BytesView(buf_->data).subspan(off_, len_) : BytesView{};
@@ -93,6 +115,12 @@ class Payload {
   /// Number of payloads (slices included) holding this buffer; 0 when empty.
   [[nodiscard]] long use_count() const { return buf_.use_count(); }
 
+  /// The buffer's seal stamp (shared by every slice); a default stamp when
+  /// the buffer was not built by a seal.
+  [[nodiscard]] SealStamp stamp() const { return buf_ ? buf_->stamp : SealStamp{}; }
+  /// True if this window is the whole buffer (false when empty).
+  [[nodiscard]] bool whole() const { return buf_ && off_ == 0 && len_ == buf_->data.size(); }
+
  private:
   struct MemoEntry {
     std::size_t off;
@@ -100,8 +128,9 @@ class Payload {
     Sha256Digest digest;
   };
   struct Buf {
-    explicit Buf(Bytes b) : data(std::move(b)) {}
+    explicit Buf(Bytes b, SealStamp s = {}) : data(std::move(b)), stamp(s) {}
     const Bytes data;
+    const SealStamp stamp;
     // Digest memo: tiny linear-scanned table (a wire message is digested
     // over at most a handful of distinct windows: full frame, body,
     // nested request payloads). Mutation is safe: the sim is

@@ -46,22 +46,34 @@ const HmacKey& FastCrypto::pair_hmac(NodeId a, NodeId b) {
   return it->second;
 }
 
+namespace {
+
+// Signature byte `i` past the HMAC tag: deterministic padding to the size
+// of an RSA-1024 signature, so network byte accounting matches the paper's
+// setup.
+std::uint8_t sig_pad(std::size_t i, NodeId signer) {
+  return static_cast<std::uint8_t>(0xa5 ^ (i * 31) ^ signer);
+}
+
+}  // namespace
+
 Bytes FastCrypto::sign(NodeId signer, BytesView message) {
   Sha256Digest tag = hmac_sha256(signer_hmac(signer), message);
-  // Pad deterministically to the size of an RSA-1024 signature so network
-  // byte accounting matches the paper's setup.
   Bytes sig(signature_size(), 0);
   std::copy(tag.begin(), tag.end(), sig.begin());
-  for (std::size_t i = tag.size(); i < sig.size(); ++i) {
-    sig[i] = static_cast<std::uint8_t>(0xa5 ^ (i * 31) ^ signer);
-  }
+  for (std::size_t i = tag.size(); i < sig.size(); ++i) sig[i] = sig_pad(i, signer);
   return sig;
 }
 
 bool FastCrypto::verify(NodeId signer, BytesView message, BytesView signature) {
   if (signature.size() != signature_size()) return false;
-  Bytes expected = sign(signer, message);
-  return bytes_equal(expected, signature);
+  // Compares against sign()'s output in place, without building it.
+  const Sha256Digest tag = hmac_sha256(signer_hmac(signer), message);
+  if (!mac_equal(tag, signature.first(tag.size()))) return false;
+  for (std::size_t i = tag.size(); i < signature.size(); ++i) {
+    if (signature[i] != sig_pad(i, signer)) return false;
+  }
+  return true;
 }
 
 Bytes FastCrypto::mac(NodeId from, NodeId to, BytesView message) {
@@ -69,7 +81,8 @@ Bytes FastCrypto::mac(NodeId from, NodeId to, BytesView message) {
 }
 
 bool FastCrypto::verify_mac(NodeId from, NodeId to, BytesView message, BytesView tag) {
-  return mac_equal(hmac_tag(pair_hmac(from, to), message), tag);
+  const Sha256Digest d = hmac_sha256(pair_hmac(from, to), message);
+  return mac_equal(BytesView(d.data(), mac_size()), tag);
 }
 
 }  // namespace spider

@@ -1,13 +1,22 @@
 // Crypto provider abstraction and its one engine.
 //
 // Protocol code reaches the provider only through SimNode's authenticated-
-// frame operations (sim/node.hpp). `FastCrypto` stands in for the paper's
-// RSA-1024 signatures and HMAC-SHA-256 MACs: signatures are HMAC-SHA-256
-// tags under a per-signer key derived from one seeded master secret, padded
-// to 128 bytes so message sizes and network byte accounting match RSA-1024;
-// MACs are HMAC-SHA-256 truncated to 16 bytes under a per-pair key. Forged
-// or tampered frames are rejected, but the shared master secret offers no
-// security against an in-process adversary that reads it.
+// frame operations (sim/node.hpp). Every provider must keep the contract
+// `ProviderSuite` (tests/test_provider.cpp) pins: verify(s, m, sign(s, m))
+// and verify_mac(a, b, m, mac(a, b, m)) are true, and both are pure
+// functions of their arguments. SimNode relies on it: a frame buffer it
+// sealed is stamped {sealer, receiver or 0 for a signature, prefix length},
+// and open() accepts the whole stamped buffer its sealer sent to the node
+// it was sealed for without calling verify/verify_mac, because the
+// provider would say yes. Every other frame is verified here.
+//
+// `FastCrypto` stands in for the paper's RSA-1024 signatures and
+// HMAC-SHA-256 MACs: signatures are HMAC-SHA-256 tags under a per-signer
+// key derived from one seeded master secret, padded to 128 bytes so message
+// sizes and network byte accounting match RSA-1024; MACs are HMAC-SHA-256
+// truncated to 16 bytes under a per-pair key. Forged or tampered frames
+// are rejected, but the shared master secret offers no security against an
+// in-process adversary that reads it.
 //
 // The *simulated CPU cost* of each operation comes from `CryptoCosts` (the
 // paper's RSA-1024/HMAC costs) and is charged by the simulation layer, not

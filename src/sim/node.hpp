@@ -102,12 +102,19 @@ class SimNode : public TransportEndpoint {
   // operations (plus the uncharged mac_frame below) are the only protocol
   // path to the crypto provider; each charges its one modeled crypto cost
   // before it computes.
+  //
+  // The seals stamp the buffer they build (Payload::stamp: sealer, the MAC
+  // receiver or 0 for a signature, prefix length). open() accepts the
+  // whole stamped buffer `from` sealed for this node, or signed, without
+  // asking the provider; any other frame (a copy, a slice, a frame re-sent
+  // by another node or opened by a node it was not MAC'd for, every frame
+  // off a socket) is verified by the provider. The charge is the same.
 
   /// MAC seal: charges one MAC; returns [tag][body][mac(self -> to)] in one
-  /// allocation.
+  /// stamped allocation.
   Payload seal_mac(std::uint32_t tag_word, NodeId to, BytesView body);
   /// Signed seal: charges one sign; returns [tag][body][sig(self)], one
-  /// buffer a multicast shares across all recipients.
+  /// stamped buffer a multicast shares across all recipients.
   Payload seal_signed(std::uint32_t tag_word, BytesView body);
   /// Open: `rest` is an inbound frame after its tag, [body][auth]. Returns
   /// the body when `auth` is `from`'s signature (is_sig) or its MAC to this
@@ -155,9 +162,10 @@ class SimNode : public TransportEndpoint {
  protected:
   /// The verdict behind open(), uncharged: a signature by `from` (is_sig)
   /// or a (from -> this) MAC over [u32 tag_word][body]. When `body`/`auth`
-  /// are the standard trailer split of the message being handled it
-  /// verifies zero-copy over the frame prefix; otherwise (detached bytes)
-  /// it rebuilds [tag][body]. Both give the same verdict.
+  /// are the standard trailer split of the message being handled it checks
+  /// the seal stamp, then verifies zero-copy over the frame prefix;
+  /// otherwise (detached bytes) it rebuilds [tag][body]. All give the same
+  /// verdict.
   bool check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body, BytesView auth,
                         bool is_sig);
   /// seal_mac() without the modeled MAC charge. Only the HFT baseline's

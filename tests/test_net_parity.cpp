@@ -23,6 +23,7 @@
 #include "net/loopback_transport.hpp"
 #include "net/realtime.hpp"
 #include "spider/system.hpp"
+#include "tests/support/counting_crypto.hpp"
 
 namespace spider {
 namespace {
@@ -38,7 +39,7 @@ struct Deployment {
   std::vector<std::unique_ptr<SpiderClient>> clients;
   HistoryRecorder hist{world};
 
-  explicit Deployment(bool loopback) : world(777) {
+  explicit Deployment(bool loopback) : world(777, std::make_unique<CountingCrypto>(777)) {
     if (loopback) {
       sock = std::make_unique<net::LoopbackTransport>();
       world.install_transport(sock.get());
@@ -58,6 +59,8 @@ struct Deployment {
     sys.reset();
     driver.reset();
   }
+
+  CountingCrypto& counter() { return dynamic_cast<CountingCrypto&>(world.crypto()); }
 
   /// Pumps in small virtual-time slices; with the realtime driver
   /// installed each slice also pumps the socket reactor, so the same loop
@@ -170,6 +173,24 @@ TEST(NetParity, SimAndLoopbackAgreeOnClientVisibleResults) {
       << "ordered traffic never crossed the TCP path";
   EXPECT_GT(loop.sock->counters().udp_datagrams_received, 0u)
       << "weak reads never crossed the UDP path";
+}
+
+// Work-count guard for seal stamps. In the sim every frame a node opens is
+// the buffer its sender sealed for it, so the provider computes no MAC
+// verdict and verifies signatures only on re-encoded statements. Socket
+// frames are rebuilt from received bytes and carry no stamp, so the same
+// exchange over loopback still verifies its frames.
+TEST(NetParity, SealStampsSpareFrameVerifiesInTheSimOnly) {
+  Deployment sim(/*loopback=*/false);
+  run_workload(sim);
+  EXPECT_EQ(sim.counter().mac_verifies, 0u);
+  EXPECT_EQ(sim.counter().frame_verifies, 0u);
+  EXPECT_GT(sim.counter().statement_verifies, 0u);
+
+  Deployment loop(/*loopback=*/true);
+  run_workload(loop);
+  EXPECT_GT(loop.counter().mac_verifies, 0u);
+  EXPECT_GT(loop.counter().frame_verifies, 0u);
 }
 
 }  // namespace

@@ -117,5 +117,39 @@ TEST(Payload, RefcountKeepsBufferAliveAcrossOwnerDeath) {
   EXPECT_TRUE(bytes_equal(s.view(), BytesView(expect).subspan(8, 16)));
 }
 
+TEST(Payload, SealStampSurvivesSlicesButOnlyTheWholeBufferIsWhole) {
+  Writer w;
+  w.raw(some_bytes(40));
+  const SealStamp stamp{7, 9, 24};
+  Payload p(std::move(w), stamp);
+  EXPECT_TRUE(p.whole());
+  EXPECT_EQ(p.stamp().sealer, 7u);
+  EXPECT_EQ(p.stamp().sealed_for, 9u);
+  EXPECT_EQ(p.stamp().prefix_len, 24u);
+
+  // The stamp belongs to the buffer, so every window sees it...
+  for (const Payload& s :
+       {p.slice(0, 40), p.slice(0, 39), p.slice(1, 39), p.slice_of(p.view().subspan(4))}) {
+    EXPECT_EQ(s.stamp().sealer, 7u);
+    EXPECT_EQ(s.stamp().prefix_len, 24u);
+  }
+  // ...but only a window over all of it is the whole buffer.
+  EXPECT_TRUE(p.slice(0, 40).whole());
+  EXPECT_FALSE(p.slice(0, 39).whole());
+  EXPECT_FALSE(p.slice(1, 39).whole());
+}
+
+TEST(Payload, CopiedBytesCarryNoStamp) {
+  Writer w;
+  w.raw(some_bytes(40));
+  Payload sealed(std::move(w), SealStamp{7, 0, 24});
+  for (const Payload& p : {Payload(sealed.view()), Payload(sealed.to_bytes()), Payload()}) {
+    EXPECT_EQ(p.stamp().sealer, 0u);
+    EXPECT_EQ(p.stamp().sealed_for, 0u);
+    EXPECT_EQ(p.stamp().prefix_len, 0u);
+  }
+  EXPECT_FALSE(Payload().whole());
+}
+
 }  // namespace
 }  // namespace spider

@@ -85,5 +85,31 @@ TEST(FastCrypto, SignatureSizeMatchesRsa1024) {
   EXPECT_EQ(fc.signature_size(), 128u);  // RSA-1024 signature bytes
 }
 
+// verify and verify_mac compare in place; they must reject exactly what
+// comparing against a freshly built sign()/mac() rejects.
+TEST(FastCrypto, VerifyChecksEveryByteOfTagAndPadding) {
+  FastCrypto fc(3);
+  const Bytes msg = to_bytes(std::string("in place"));
+  const Bytes sig = fc.sign(9, msg);
+  for (std::size_t i = 0; i < sig.size(); ++i) {
+    Bytes bad = sig;
+    bad[i] ^= 0x01;
+    EXPECT_FALSE(fc.verify(9, msg, bad)) << "byte " << i;
+  }
+  EXPECT_FALSE(fc.verify(9, msg, BytesView(sig).first(sig.size() - 1)));
+  Bytes longer = sig;
+  longer.push_back(0);
+  EXPECT_FALSE(fc.verify(9, msg, longer));
+
+  const Bytes tag = fc.mac(4, 5, msg);
+  for (std::size_t i = 0; i < tag.size(); ++i) {
+    Bytes bad = tag;
+    bad[i] ^= 0x80;
+    EXPECT_FALSE(fc.verify_mac(4, 5, msg, bad)) << "byte " << i;
+  }
+  EXPECT_FALSE(fc.verify_mac(4, 5, msg, BytesView(tag).first(15)));
+  EXPECT_FALSE(fc.verify_mac(4, 5, msg, BytesView(sig).first(32)));
+}
+
 }  // namespace
 }  // namespace spider

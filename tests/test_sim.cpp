@@ -8,6 +8,7 @@
 #include "sim/node.hpp"
 #include "sim/world.hpp"
 #include "spider/messages.hpp"
+#include "tests/support/counting_crypto.hpp"
 
 namespace spider {
 namespace {
@@ -559,6 +560,182 @@ TEST(SimNode, SealedFramesMatchHandBuiltFrames) {
   EXPECT_EQ(a.busy_in(CpuCat::kCrypto) - before, c.sign);
   EXPECT_EQ(sig_frame.to_bytes(),
             hand_frame(prefix.data(), world.crypto().sign(a.id(), prefix.data())));
+}
+
+// ------------------------------------------------------------- Seal stamps
+
+/// Opens every inbound frame [u32 tag][body][auth] as `is_sig` through
+/// open() and records, per frame, the verdict, the modeled crypto charge
+/// and the provider verdicts computed meanwhile. With `trailer` set it
+/// instead asks check_auth_frame directly, splitting off that many bytes.
+class StampProbeNode : public SimNode {
+ public:
+  using SimNode::SimNode;
+
+  void on_message(NodeId from, BytesView data) override {
+    ASSERT_GE(data.size(), 4u);
+    Reader r(data);
+    const std::uint32_t tag_word = r.u32();
+    const BytesView rest = data.subspan(4);
+    auto& counter = dynamic_cast<CountingCrypto&>(crypto());
+    const Duration before = busy_in(CpuCat::kCrypto);
+    const std::size_t calls = counter.calls();
+    if (trailer == 0) {
+      opened.push_back(open(from, tag_word, rest, is_sig).has_value());
+    } else {
+      ASSERT_GT(rest.size(), trailer);
+      const BytesView body = rest.first(rest.size() - trailer);
+      opened.push_back(check_auth_frame(from, tag_word, body, rest.subspan(body.size()), is_sig));
+    }
+    charge.push_back(busy_in(CpuCat::kCrypto) - before);
+    provider_calls.push_back(counter.calls() - calls);
+  }
+
+  bool is_sig = false;
+  std::size_t trailer = 0;
+  std::vector<bool> opened;
+  std::vector<Duration> charge;
+  std::vector<std::size_t> provider_calls;
+};
+
+/// A sender, a second sender and three probes in one World whose provider
+/// counts its verdicts.
+struct StampFixture {
+  World world{5, std::make_unique<CountingCrypto>(5)};
+  EchoNode a{world, world.allocate_id(), Site{Region::Virginia, 0}};
+  EchoNode b{world, world.allocate_id(), Site{Region::Virginia, 1}};
+  StampProbeNode p{world, world.allocate_id(), Site{Region::Virginia, 2}};
+  StampProbeNode q{world, world.allocate_id(), Site{Region::Ohio, 0}};
+  StampProbeNode r{world, world.allocate_id(), Site{Region::Ohio, 1}};
+  const CryptoCosts& costs = world.crypto().costs();
+
+  void run() { world.run_for(50 * kMillisecond); }
+};
+
+/// Longer than a signature, so every frame below survives open()'s
+/// length check whichever trailer it splits off.
+Bytes long_body() { return Bytes(200, 0x5a); }
+
+TEST(SealStamp, SealedMacAndSignedMulticastOpenWithoutProviderVerifies) {
+  StampFixture f;
+  f.q.is_sig = true;
+  f.r.is_sig = true;
+  f.a.send_to(f.p.id(), f.a.seal_mac(kProbeTag, f.p.id(), long_body()));
+  const Payload multicast = f.a.seal_signed(kProbeTag, long_body());
+  f.a.send_to(f.q.id(), multicast);
+  f.a.send_to(f.r.id(), multicast);
+  f.run();
+  for (const StampProbeNode* n : {&f.p, &f.q, &f.r}) {
+    ASSERT_EQ(n->opened.size(), 1u);
+    EXPECT_TRUE(n->opened[0]);
+    EXPECT_EQ(n->charge[0], n->is_sig ? f.costs.verify : f.costs.mac);
+    EXPECT_EQ(n->provider_calls[0], 0u);
+  }
+}
+
+TEST(SealStamp, ByteIdenticalCopyOpensThroughProvider) {
+  StampFixture f;
+  f.q.is_sig = true;
+  const Payload mac = f.a.seal_mac(kProbeTag, f.p.id(), long_body());
+  const Payload sig = f.a.seal_signed(kProbeTag, long_body());
+  f.a.send_to(f.p.id(), Payload(mac.view()));
+  f.a.send_to(f.q.id(), Payload(sig.view()));
+  f.run();
+  for (const StampProbeNode* n : {&f.p, &f.q}) {
+    ASSERT_EQ(n->opened.size(), 1u);
+    EXPECT_TRUE(n->opened[0]);
+    EXPECT_EQ(n->charge[0], n->is_sig ? f.costs.verify : f.costs.mac);
+    EXPECT_EQ(n->provider_calls[0], 1u);
+  }
+}
+
+TEST(SealStamp, MacFrameOpenedByAnotherReceiverIsRejected) {
+  StampFixture f;
+  // Sealed for p, delivered to q by its sealer and re-sent to r by b.
+  const Payload frame = f.a.seal_mac(kProbeTag, f.p.id(), long_body());
+  f.a.send_to(f.q.id(), frame);
+  f.b.send_to(f.r.id(), frame);
+  f.run();
+  for (const StampProbeNode* n : {&f.q, &f.r}) {
+    ASSERT_EQ(n->opened.size(), 1u);
+    EXPECT_FALSE(n->opened[0]);
+    EXPECT_EQ(n->charge[0], f.costs.mac);
+    EXPECT_EQ(n->provider_calls[0], 1u);
+  }
+}
+
+TEST(SealStamp, SignedFrameResentByNonSealerIsRejected) {
+  StampFixture f;
+  f.q.is_sig = true;
+  f.b.send_to(f.q.id(), f.a.seal_signed(kProbeTag, long_body()));
+  f.run();
+  ASSERT_EQ(f.q.opened.size(), 1u);
+  EXPECT_FALSE(f.q.opened[0]);
+  EXPECT_EQ(f.q.charge[0], f.costs.verify);
+  EXPECT_EQ(f.q.provider_calls[0], 1u);
+}
+
+TEST(SealStamp, FrameOpenedAsWrongAuthKindIsRejected) {
+  StampFixture f;
+  f.p.is_sig = true;  // opens MACs as signatures
+  f.q.is_sig = false;  // opens signatures as MACs
+  f.a.send_to(f.p.id(), f.a.seal_mac(kProbeTag, f.p.id(), long_body()));
+  f.a.send_to(f.q.id(), f.a.seal_signed(kProbeTag, long_body()));
+  // A MAC toward NodeId 0, which no node has, carries the signature
+  // marker; only its prefix length tells it from a signed frame.
+  f.a.send_to(f.p.id(), f.a.seal_mac(kProbeTag, 0, long_body()));
+  f.run();
+  ASSERT_EQ(f.p.opened.size(), 2u);
+  ASSERT_EQ(f.q.opened.size(), 1u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_FALSE(f.p.opened[i]);
+    EXPECT_EQ(f.p.charge[i], f.costs.verify);
+    EXPECT_EQ(f.p.provider_calls[i], 1u);
+  }
+  EXPECT_FALSE(f.q.opened[0]);
+  EXPECT_EQ(f.q.charge[0], f.costs.mac);
+  EXPECT_EQ(f.q.provider_calls[0], 1u);
+}
+
+TEST(SealStamp, FlippedTrailerByteIsRejected) {
+  StampFixture f;
+  f.q.is_sig = true;
+  Bytes mac = f.a.seal_mac(kProbeTag, f.p.id(), long_body()).to_bytes();
+  Bytes sig = f.a.seal_signed(kProbeTag, long_body()).to_bytes();
+  mac.back() ^= 0x01;
+  sig.back() ^= 0x01;
+  f.a.send_to(f.p.id(), std::move(mac));
+  f.a.send_to(f.q.id(), std::move(sig));
+  f.run();
+  for (const StampProbeNode* n : {&f.p, &f.q}) {
+    ASSERT_EQ(n->opened.size(), 1u);
+    EXPECT_FALSE(n->opened[0]);
+    EXPECT_EQ(n->charge[0], n->is_sig ? f.costs.verify : f.costs.mac);
+    EXPECT_EQ(n->provider_calls[0], 1u);
+  }
+}
+
+TEST(SealStamp, SubWindowOfSealedBufferNeverMatches) {
+  StampFixture f;
+  // The body is itself a frame [tag][x][16 bytes] whose trailer is no MAC.
+  Writer inner;
+  inner.u32(kProbeTag);
+  inner.raw(Bytes(40, 0x11));
+  inner.raw(Bytes(16, 0x22));
+  const Payload outer = f.a.seal_mac(kProbeTag, f.p.id(), inner.data());
+  f.a.send_to(f.p.id(), outer.slice(4, inner.data().size()));
+  // A signed buffer cut 16 bytes into its signature, split there: the
+  // window ends where a MAC frame's trailer would.
+  const Payload sig = f.a.seal_signed(kProbeTag, long_body());
+  f.q.is_sig = true;
+  f.q.trailer = 16;
+  f.a.send_to(f.q.id(), sig.slice(0, 4 + long_body().size() + 16));
+  f.run();
+  for (const StampProbeNode* n : {&f.p, &f.q}) {
+    ASSERT_EQ(n->opened.size(), 1u);
+    EXPECT_FALSE(n->opened[0]);
+    EXPECT_EQ(n->provider_calls[0], 1u);
+  }
 }
 
 TEST(SimNode, VerifyStatementChecksReencodedClientRequest) {
