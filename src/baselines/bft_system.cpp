@@ -173,7 +173,7 @@ void BftReplica::execute_one(const Bytes& request) {
 
 void BftReplica::reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak) {
   Bytes out = to_bytes(result);
-  if (corrupt_replies) corrupt_reply_payload(out);  // see sim/byzantine.hpp
+  if (corrupt_replies_) corrupt_reply_payload(out);  // see sim/byzantine.hpp
   ReplyMsg reply{counter, std::move(out), weak};
   send_to(client, seal_mac(tags::kClient, client, reply.encode()));
 }
@@ -236,7 +236,7 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
 void BftReplica::recover() { checkpointer_->fetch_cp(1); }
 
 void BftReplica::apply_byzantine(const ByzantineFlags& f) {
-  corrupt_replies = f.corrupt_replies;
+  corrupt_replies_ = f.corrupt_replies;
   pbft_->mute = f.mute;
   pbft_->mute_rx = f.mute_rx;
   pbft_->equivocate = f.equivocate;

@@ -55,10 +55,6 @@ class BftReplica : public ComponentHost {
   /// may never come if client traffic stopped).
   void recover();
 
-  /// Test hook: Byzantine replica that answers clients with corrupted
-  /// results (must be outvoted by f+1 matching correct replies).
-  bool corrupt_replies = false;
-
   /// Applies a Byzantine flag set (FaultPlan via BftSystem::set_byzantine).
   /// Baseline replicas both order and execute, so they honour the
   /// consensus-role flags (mute / mute_rx / equivocate / forge_checkpoints)
@@ -78,6 +74,9 @@ class BftReplica : public ComponentHost {
   std::uint32_t f_;
   std::uint64_t checkpoint_interval_;
   SeqNr last_cp_ = 0;
+  // Byzantine behaviour (apply_byzantine): answer clients with corrupted
+  // results (outvoted by f+1 matching correct replies).
+  bool corrupt_replies_ = false;
   std::unique_ptr<Application> app_;
   std::unique_ptr<PbftReplica> pbft_;
   std::unique_ptr<Checkpointer> checkpointer_;

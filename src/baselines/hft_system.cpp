@@ -151,7 +151,7 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
   Bytes body = std::move(w).take();
   for (NodeId n : sites_[site_id_]) {
     if (n == id()) continue;
-    send_to(n, mac_frame(tags::kHft, n, body));
+    send_to(n, seal_mac(tags::kHft, n, body));
   }
   if (round.sigs.size() >= threshold()) {
     round.completed = true;
@@ -187,7 +187,7 @@ void HftReplica::handle_sign_req(NodeId from, Reader& r) {
   w.bytes(statement);
   w.bytes(sig);
   Bytes body = std::move(w).take();
-  send_to(from, mac_frame(tags::kHft, from, body));
+  send_to(from, seal_mac(tags::kHft, from, body));
 }
 
 void HftReplica::handle_partial(NodeId from, Reader& r) {
@@ -230,7 +230,7 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
       br.u8();
       handle_update(id(), br);
     } else {
-      send_to(leader_rep, mac_frame(tags::kHft, leader_rep, body));
+      send_to(leader_rep, seal_mac(tags::kHft, leader_rep, body));
     }
   } else if (kind == Kind::Proposal) {
     Writer w;
@@ -246,7 +246,7 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
         br.u8();
         handle_proposal(id(), br);
       } else {
-        send_to(rep, mac_frame(tags::kHft, rep, body));
+        send_to(rep, seal_mac(tags::kHft, rep, body));
       }
     }
   } else if (kind == Kind::Accept) {
@@ -262,7 +262,7 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
         br.u8();
         handle_accept(id(), br);
       } else {
-        send_to(rep, mac_frame(tags::kHft, rep, body));
+        send_to(rep, seal_mac(tags::kHft, rep, body));
       }
     }
   }
@@ -358,7 +358,7 @@ void HftReplica::try_execute() {
     Bytes body = std::move(w).take();
     for (NodeId n : sites_[site_id_]) {
       if (n == id()) continue;
-      send_to(n, mac_frame(tags::kHft, n, body));
+      send_to(n, seal_mac(tags::kHft, n, body));
     }
     Reader br(body);
     br.u8();

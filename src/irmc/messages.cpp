@@ -29,21 +29,13 @@ SendMsg SendMsg::decode(Reader& r) {
   SendMsg m;
   m.sc = r.u64();
   m.p = r.u64();
-  m.payload = r.bytes();
-  return m;
-}
-
-SendMsgView SendMsgView::decode(Reader& r) {
-  SendMsgView m;
-  m.sc = r.u64();
-  m.p = r.u64();
   m.payload = r.bytes_view();
   return m;
 }
 
-Bytes MoveMsg::encode() const {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Move));
+Bytes MoveMsg::encode(MsgType type) const {
+  Writer w(1 + 8 + 8);
+  w.u8(static_cast<std::uint8_t>(type));
   w.u64(sc);
   w.u64(p);
   return std::move(w).take();

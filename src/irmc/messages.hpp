@@ -1,6 +1,7 @@
 // IRMC wire messages (paper Appendix A.8 / A.9).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -20,30 +21,34 @@ enum class MsgType : std::uint8_t {
   Nack = 7,         // RC: <Nack, sc, p> MAC'd, receiver asks for retransmission
 };
 
+/// Decodes an opened frame's body (Component::open) past its type byte;
+/// nothing when the frame did not open.
+template <typename Msg>
+std::optional<Msg> decode_opened(std::optional<BytesView> body) {
+  if (!body) return std::nullopt;
+  Reader r(*body);
+  r.u8();
+  return Msg::decode(r);
+}
+
+/// Zero-copy: `payload` views the content being encoded, or the wire
+/// buffer it was decoded from (valid only while the buffer lives —
+/// capture() it to retain).
 struct SendMsg {
-  Subchannel sc = 0;
-  Position p = 0;
-  Bytes payload;
-
-  Bytes encode() const;
-  static SendMsg decode(Reader& r);
-};
-
-/// Zero-copy decode of a SendMsg: `payload` stays a view into the wire
-/// buffer (valid only while the buffer lives — capture() it to retain).
-struct SendMsgView {
   Subchannel sc = 0;
   Position p = 0;
   BytesView payload;
 
-  static SendMsgView decode(Reader& r);
+  Bytes encode() const;
+  static SendMsg decode(Reader& r);
 };
 
 struct MoveMsg {
   Subchannel sc = 0;
   Position p = 0;
 
-  Bytes encode() const;
+  /// A Nack (`type`) has the same layout.
+  Bytes encode(MsgType type = MsgType::Move) const;
   static MoveMsg decode(Reader& r);
 };
 

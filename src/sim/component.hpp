@@ -80,6 +80,10 @@ class Component {
   /// The host's authenticated-frame operations (SimNode), under this
   /// component's tag.
   Payload seal_mac(NodeId to, BytesView body) { return host_.seal_mac(tag_, to, body); }
+  /// Sends `body` to each of `group`, MAC'd for each one.
+  void send_mac_to_all(const std::vector<NodeId>& group, BytesView body) {
+    for (NodeId to : group) send_wire(to, seal_mac(to, body));
+  }
   Payload seal_signed(BytesView body) { return host_.seal_signed(tag_, body); }
   std::optional<BytesView> open(NodeId from, BytesView rest, bool is_sig) {
     return host_.open(from, tag_, rest, is_sig);

@@ -44,10 +44,6 @@ Sha256Digest SimNode::hash_cached(BytesView sub) const {
 
 Payload SimNode::seal_mac(std::uint32_t tag_word, NodeId to, BytesView body) {
   charge_mac();
-  return mac_frame(tag_word, to, body);
-}
-
-Payload SimNode::mac_frame(std::uint32_t tag_word, NodeId to, BytesView body) {
   Writer w(4 + body.size() + crypto().mac_size());
   w.u32(tag_word);
   w.raw(body);

@@ -99,9 +99,8 @@ class SimNode : public TransportEndpoint {
   // frame's own prefix [tag][body]. A signed statement (a client request,
   // a checkpoint vote, an IRMC share, an HFT partial) is re-encoded by its
   // verifier and signed over the same [tag][statement] layout. These five
-  // operations (plus the uncharged mac_frame below) are the only protocol
-  // path to the crypto provider; each charges its one modeled crypto cost
-  // before it computes.
+  // operations are the only protocol path to the crypto provider; each
+  // charges its one modeled crypto cost before it computes.
   //
   // The seals stamp the buffer they build (Payload::stamp: sealer, the MAC
   // receiver or 0 for a signature, prefix length). open() accepts the
@@ -168,10 +167,6 @@ class SimNode : public TransportEndpoint {
   /// verdict.
   bool check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body, BytesView auth,
                         bool is_sig);
-  /// seal_mac() without the modeled MAC charge. Only the HFT baseline's
-  /// replica-to-replica frames use it: that model never charged their
-  /// sender-side MACs, and its figures are pinned to that cost model.
-  Payload mac_frame(std::uint32_t tag_word, NodeId to, BytesView body);
 
  private:
   friend class SimNetwork;

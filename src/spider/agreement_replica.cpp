@@ -61,32 +61,16 @@ void AgreementReplica::setup_channel(const RegistryEntry& info, bool backfill) {
   if (channels_.count(info.group)) return;
   std::uint32_t fe = static_cast<std::uint32_t>((info.members.size() - 1) / 2);
 
-  IrmcConfig req_cfg;
-  req_cfg.senders = info.members;
-  req_cfg.receivers = cfg_.members;
-  req_cfg.fs = fe;
-  req_cfg.fr = cfg_.fa;
-  req_cfg.capacity = cfg_.request_capacity;
-  req_cfg.channel_tag = request_channel_tag(info.group);
-  req_cfg.progress_interval = cfg_.progress_interval;
-  req_cfg.collector_timeout = cfg_.collector_timeout;
-
-  IrmcConfig com_cfg;
-  com_cfg.senders = cfg_.members;
-  com_cfg.receivers = info.members;
-  com_cfg.fs = cfg_.fa;
-  com_cfg.fr = fe;
-  com_cfg.capacity = cfg_.commit_capacity;
-  com_cfg.channel_tag = commit_channel_tag(info.group);
-  com_cfg.progress_interval = cfg_.progress_interval;
-  com_cfg.collector_timeout = cfg_.collector_timeout;
-  com_cfg.announce_window = true;  // revived execution replicas must learn
-                                   // that the commit window moved on
-
   Channel ch;
   ch.info = info;
-  ch.request_rx = make_irmc_receiver(cfg_.irmc_kind, *this, req_cfg);
-  ch.commit_tx = make_irmc_sender(cfg_.irmc_kind, *this, com_cfg);
+  ch.request_rx = make_irmc_receiver(
+      cfg_.irmc_kind, *this,
+      request_channel_config(info.group, info.members, fe, cfg_.members, cfg_.fa,
+                             cfg_.request_capacity));
+  ch.commit_tx = make_irmc_sender(
+      cfg_.irmc_kind, *this,
+      commit_channel_config(info.group, info.members, fe, cfg_.members, cfg_.fa,
+                            cfg_.commit_capacity));
   GroupId g = info.group;
   ch.request_rx->on_new_subchannel = [this, g](Subchannel c) { start_pull(g, c); };
   channels_.emplace(g, std::move(ch));

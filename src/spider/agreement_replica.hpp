@@ -40,8 +40,6 @@ struct AgreementConfig {
   Duration view_change_timeout = 4 * kSecond;
   NodeId admin = kInvalidNode;           // only this client may reconfigure
   std::vector<RegistryEntry> initial_groups;
-  Duration progress_interval = 50 * kMillisecond;
-  Duration collector_timeout = 300 * kMillisecond;
 };
 
 class AgreementReplica : public ComponentHost {

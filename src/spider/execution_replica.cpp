@@ -12,6 +12,33 @@ namespace {
 constexpr Duration kExecCost = 8;
 }  // namespace
 
+IrmcConfig request_channel_config(GroupId e, const std::vector<NodeId>& exec, std::uint32_t fe,
+                                  const std::vector<NodeId>& agreement, std::uint32_t fa,
+                                  Position capacity) {
+  IrmcConfig cfg;
+  cfg.senders = exec;
+  cfg.receivers = agreement;
+  cfg.fs = fe;
+  cfg.fr = fa;
+  cfg.capacity = capacity;
+  cfg.channel_tag = request_channel_tag(e);
+  return cfg;
+}
+
+IrmcConfig commit_channel_config(GroupId e, const std::vector<NodeId>& exec, std::uint32_t fe,
+                                 const std::vector<NodeId>& agreement, std::uint32_t fa,
+                                 Position capacity) {
+  IrmcConfig cfg;
+  cfg.senders = agreement;
+  cfg.receivers = exec;
+  cfg.fs = fa;
+  cfg.fr = fe;
+  cfg.capacity = capacity;
+  cfg.channel_tag = commit_channel_tag(e);
+  cfg.announce_window = true;
+  return cfg;
+}
+
 ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                                    std::unique_ptr<Application> app)
     : ComponentHost(world, cfg.self == kInvalidNode ? world.allocate_id() : cfg.self, site),
@@ -20,27 +47,14 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                                            {.node = id(), .role = "exec"})),
       catchups_(world.metrics().counter("exec_catchups", {.node = id(), .role = "exec"})),
       map_(cfg_.shard_map), shard_index_(cfg_.shard_index) {
-  IrmcConfig req_cfg;
-  req_cfg.senders = cfg_.members;
-  req_cfg.receivers = cfg_.agreement;
-  req_cfg.fs = cfg_.fe;
-  req_cfg.fr = cfg_.fa;
-  req_cfg.capacity = cfg_.request_capacity;
-  req_cfg.channel_tag = request_channel_tag(cfg_.group);
-  req_cfg.progress_interval = cfg_.progress_interval;
-  req_cfg.collector_timeout = cfg_.collector_timeout;
-  request_tx_ = make_irmc_sender(cfg_.irmc_kind, *this, req_cfg);
-
-  IrmcConfig com_cfg;
-  com_cfg.senders = cfg_.agreement;
-  com_cfg.receivers = cfg_.members;
-  com_cfg.fs = cfg_.fa;
-  com_cfg.fr = cfg_.fe;
-  com_cfg.capacity = cfg_.commit_capacity;
-  com_cfg.channel_tag = commit_channel_tag(cfg_.group);
-  com_cfg.progress_interval = cfg_.progress_interval;
-  com_cfg.collector_timeout = cfg_.collector_timeout;
-  commit_rx_ = make_irmc_receiver(cfg_.irmc_kind, *this, com_cfg);
+  request_tx_ = make_irmc_sender(
+      cfg_.irmc_kind, *this,
+      request_channel_config(cfg_.group, cfg_.members, cfg_.fe, cfg_.agreement, cfg_.fa,
+                             cfg_.request_capacity));
+  commit_rx_ = make_irmc_receiver(
+      cfg_.irmc_kind, *this,
+      commit_channel_config(cfg_.group, cfg_.members, cfg_.fe, cfg_.agreement, cfg_.fa,
+                            cfg_.commit_capacity));
 
   auto trusted = std::make_shared<std::set<NodeId>>(cfg_.members.begin(), cfg_.members.end());
   trusted_peers_ = trusted;
@@ -57,8 +71,8 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
 }
 
 void ExecutionReplica::apply_byzantine(const ByzantineFlags& f) {
-  corrupt_replies = f.corrupt_replies;
-  drop_forwarding = f.drop_forwarding;
+  corrupt_replies_ = f.corrupt_replies;
+  drop_forwarding_ = f.drop_forwarding;
   checkpointer_->forge_checkpoints = f.forge_checkpoints;
 }
 
@@ -131,7 +145,7 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
   if (!verify_statement(req.client, tags::kClient, req.encode(), frame.signature)) return;
 
   last = req.counter;
-  if (drop_forwarding) return;  // Byzantine: silently refuse to forward
+  if (drop_forwarding_) return;  // Byzantine: silently refuse to forward
   if (auto* t = tracer()) {
     t->async(obs::Ph::kAsyncInstant, now(), id(),
              obs::request_id(req.client, req.counter), "request", "forward");
@@ -332,7 +346,7 @@ void ExecutionReplica::reply_to(NodeId client, std::uint64_t counter, BytesView 
   }
   // Byzantine tampering, outvoted by fe+1 matching correct replies (fe+1
   // corruptors are the linearizability checker's canary).
-  if (corrupt_replies) corrupt_reply_payload(out);
+  if (corrupt_replies_) corrupt_reply_payload(out);
   ReplyMsg reply{counter, std::move(out), weak};
   // Weak (direct-path) replies are idempotent and client-retried, so they
   // ride the unordered datagram channel on the socket backend; ordered

@@ -27,6 +27,18 @@ namespace spider {
 constexpr std::uint32_t request_channel_tag(GroupId e) { return tags::kIrmc | (e << 1); }
 constexpr std::uint32_t commit_channel_tag(GroupId e) { return tags::kIrmc | (e << 1) | 1; }
 
+/// Both ends of group `e`'s request channel: its 2fe+1 `exec` replicas
+/// send client requests to the 3fa+1 `agreement` replicas.
+IrmcConfig request_channel_config(GroupId e, const std::vector<NodeId>& exec, std::uint32_t fe,
+                                  const std::vector<NodeId>& agreement, std::uint32_t fa,
+                                  Position capacity);
+/// Both ends of group `e`'s commit channel: the agreement replicas send the
+/// ordered Execute stream to the group's replicas. Senders announce their
+/// window, so revived execution replicas learn that it moved on.
+IrmcConfig commit_channel_config(GroupId e, const std::vector<NodeId>& exec, std::uint32_t fe,
+                                 const std::vector<NodeId>& agreement, std::uint32_t fa,
+                                 Position capacity);
+
 struct ExecutionConfig {
   NodeId self = kInvalidNode;  // explicit id (kInvalidNode = allocate)
   GroupId group = 1;
@@ -38,8 +50,6 @@ struct ExecutionConfig {
   std::uint64_t ke = 16;                // execution checkpoint interval (logical requests)
   Position commit_capacity = 64;        // >= ke + max_batch for liveness (paper §3.4)
   Position request_capacity = 2;        // per-client subchannel (Fig. 16, L. 6)
-  Duration progress_interval = 50 * kMillisecond;
-  Duration collector_timeout = 300 * kMillisecond;
   // Sharded deployments with live resharding: the partition table this
   // replica enforces and the shard index it answers for. Unset = no
   // ownership checks (standalone / statically sharded deployments).
@@ -73,13 +83,6 @@ class ExecutionReplica : public ComponentHost {
   [[nodiscard]] const std::optional<ShardMap>& shard_map() const { return map_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
 
-  /// Test hook: Byzantine replica that answers clients with corrupted
-  /// results (must be outvoted by fe+1 correct replies).
-  bool corrupt_replies = false;
-  /// Test hook: Byzantine replica that stays silent toward the agreement
-  /// group (drops request forwarding).
-  bool drop_forwarding = false;
-
   /// Applies a Byzantine flag set (FaultPlan via the system's
   /// set_byzantine): corrupt_replies, drop_forwarding and
   /// forge_checkpoints are meaningful here; consensus-role flags are
@@ -102,6 +105,11 @@ class ExecutionReplica : public ComponentHost {
   void on_stable_checkpoint(SeqNr s, BytesView state);
 
   ExecutionConfig cfg_;
+  // Byzantine behaviour (apply_byzantine): answer clients with corrupted
+  // results (outvoted by fe+1 correct replies); stay silent toward the
+  // agreement group (drop request forwarding).
+  bool corrupt_replies_ = false;
+  bool drop_forwarding_ = false;
   std::unique_ptr<Application> app_;
   std::unique_ptr<IrmcSenderEndpoint> request_tx_;
   std::unique_ptr<IrmcReceiverEndpoint> commit_rx_;

@@ -175,7 +175,7 @@ TEST(BaselineBft, DirectStrongReadFallsBackToOrdering) {
   world.net().set_link_filter([cid, cut](NodeId from, NodeId to) {
     return !((from == cid && to == cut) || (from == cut && to == cid));
   });
-  sys.replica(2).corrupt_replies = true;
+  sys.set_byzantine(sys.replica(2).id(), ByzantineFlags{.corrupt_replies = true});
 
   const std::uint64_t retries_before = client->retries();
   const Time fired = world.now();

@@ -311,6 +311,50 @@ TEST_P(IrmcSuite, WaiterAfterInCallbackWindowMoveGetsMessage) {
   EXPECT_EQ(f.receivers[0]->window_start(1), 2u);
 }
 
+TEST_P(IrmcSuite, RebuiltSenderBehindTheWindowIsGrantedItAndSendsItsQueue) {
+  // A sender endpoint rebuilt under the same id (crash recovery) starts
+  // at window 1 while the receivers moved on to 9. Its Move is behind
+  // their window, so they grant it theirs; the send it queued above the
+  // stale window then goes out and, with one more sender, is delivered.
+  ChannelFixture f(GetParam(), 4, 3, /*capacity=*/4);
+  f.senders[0]->move_window(1, 9);
+  f.senders[1]->move_window(1, 9);
+  f.world.run_for(kSecond);
+  for (auto& r : f.receivers) ASSERT_EQ(r->window_start(1), 9u);
+
+  const NodeId id = f.sender_hosts[0]->id();
+  const Site site = f.sender_hosts[0]->site();
+  f.senders[0].reset();
+  f.sender_hosts[0].reset();
+  f.sender_hosts[0] = std::make_unique<ComponentHost>(f.world, id, site);
+  f.senders[0] = make_irmc_sender(GetParam(), *f.sender_hosts[0], f.cfg);
+  ASSERT_EQ(f.senders[0]->window_start(1), 1u);
+
+  const Bytes m = f.msg(10);
+  bool sent = false;
+  f.senders[0]->send(1, 10, m, [&](bool too_old, Position ws) {
+    EXPECT_FALSE(too_old);
+    EXPECT_EQ(ws, 9u);
+    sent = true;
+  });
+  f.senders[0]->move_window(1, 2);  // behind the receivers' window
+  f.world.run_for(kSecond);
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(f.senders[0]->window_start(1), 9u);
+
+  // Only the rebuilt sender and sender 1 vouch: fs+1 = 2.
+  f.senders[1]->send(1, 10, m, {});
+  std::vector<Bytes> got(2);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    f.receivers[i]->receive(1, 10, [&, i](RecvResult res) {
+      EXPECT_FALSE(res.too_old);
+      got[i] = res.message.to_bytes();
+    });
+  }
+  f.world.run_for(kSecond);
+  for (const Bytes& g : got) EXPECT_EQ(g, m);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, IrmcSuite,
                          ::testing::Values(IrmcKind::ReceiverCollect, IrmcKind::SenderCollect),
                          [](const ::testing::TestParamInfo<IrmcKind>& info) {
@@ -324,8 +368,7 @@ TEST(IrmcRc, ForgedSendRejected) {
   // An attacker (not in the sender group) replays a Send-shaped frame with
   // a bogus signature; and a group member with a wrong signature.
   ComponentHost attacker(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
-  irmc::SendMsg msg{1, 1, f.msg(1)};
-  Bytes body = msg.encode();
+  Bytes body = irmc::SendMsg{1, 1, f.msg(1)}.encode();
   Bytes fake_sig(f.world.crypto().signature_size(), 0x42);
   Bytes wire = body;
   wire.insert(wire.end(), fake_sig.begin(), fake_sig.end());

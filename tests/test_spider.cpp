@@ -173,7 +173,8 @@ TEST(Spider, VirginiaWritesFarFasterThanTokyo) {
 TEST(Spider, ByzantineReplicaRepliesOutvoted) {
   Fixture f;
   GroupId g = f.sys.nearest_group(Region::Oregon);
-  f.sys.exec(g, 0).corrupt_replies = true;  // 1 of 3 corrupts results
+  // 1 of 3 corrupts results.
+  f.sys.set_byzantine(f.sys.exec(g, 0).id(), ByzantineFlags{.corrupt_replies = true});
   auto client = f.sys.make_client(Site{Region::Oregon, 0});
   auto [reply, lat] = f.do_write(*client, "k", "v");
   EXPECT_TRUE(reply.ok);  // fe+1 = 2 correct replies outvote the corruption
@@ -185,7 +186,7 @@ TEST(Spider, ByzantineReplicaRepliesOutvoted) {
 TEST(Spider, ByzantineReplicaDroppingForwardsHarmless) {
   Fixture f;
   GroupId g = f.sys.nearest_group(Region::Ireland);
-  f.sys.exec(g, 1).drop_forwarding = true;
+  f.sys.set_byzantine(f.sys.exec(g, 1).id(), ByzantineFlags{.drop_forwarding = true});
   auto client = f.sys.make_client(Site{Region::Ireland, 0});
   auto [reply, lat] = f.do_write(*client, "k", "v");
   EXPECT_TRUE(reply.ok);  // fe+1 remaining correct replicas form the quorum
